@@ -1,93 +1,43 @@
 #!/usr/bin/env python3
 """Regenerate the headline numbers and figure data in one go.
 
-Writes CSV tables under results/ (override with --outdir) and prints the
-scalar benchmarks: shared-temperature occupations, the channel-fidelity
-triple, the teleportation-fidelity surface floors, and the ideal swap table.
+Runs the ``ionsim`` subcommands that write the CSV tables under results/
+(override with --outdir) and prints the scalar benchmarks read back from
+them: the scaled Rabi factor at the ground sector, shared-temperature
+occupations with the channel-fidelity triple, the teleportation-fidelity
+surface floors, and the ideal swap table.
 """
 
 import argparse
-import math
+import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ionsim.cli import write_table
-from ionsim.dynamics import PulseSpec
-from ionsim.motional import (
-    ModeParams,
-    cutoff_for,
-    matched_nbar_r,
-    rabi_frequency,
-    thermal_distribution,
-)
-from ionsim.protocol import (
-    PhaseConfig,
-    TeleportConfig,
-    channel_fidelity,
-    entanglement_swap,
-    teleport_fidelity,
-)
+from ionsim import cli
 
 
-def rabi_surface(outdir: Path, eta: float = 0.15) -> None:
-    modes = ModeParams(eta=eta)
-    rows = [
-        {"n": n, "n_r": nr, "rabi": rabi_frequency(1, n, nr, modes)}
-        for n in range(26)
-        for nr in range(26)
-    ]
-    write_table(rows, ["n", "n_r", "rabi"],
-                {"eta": eta, "eta_r": modes.eta_r, "k": 1},
-                "csv", str(outdir / "rabi_surface.csv"))
-    print(f"rabi surface: 676 rows, |scaled Rabi|(0,0) = {abs(rows[0]['rabi']):.5f}")
+def tables(points: int) -> dict[str, list[str]]:
+    """CSV file name -> ionsim command line that writes it."""
+    grid = f"nbar=0:0.2:{points},eta=0.05:0.25:{points}"
+    return {
+        "rabi_surface.csv": ["rabi-surface"],
+        "channel_fidelity_eta_0.15.csv": ["channel-fidelity", "--eta", "0.15"],
+        "channel_fidelity_eta_0.2.csv": ["channel-fidelity", "--eta", "0.2"],
+        "fidelity_surface_eps_0.0.csv": ["fidelity-surface", "--eps", "0.0", "--grid", grid],
+        "fidelity_surface_eps_0.05.csv": ["fidelity-surface", "--eps", "0.05", "--grid", grid],
+        "swap_ideal.csv": ["swap"],
+    }
 
 
-def channel_triple(outdir: Path) -> None:
-    phases = PhaseConfig()
-    pulse = PulseSpec(phi=phases.phi_b, phi0=phases.phi0_b)
-    rows = []
-    for nbar in (0.2, 1.0, 5.0):
-        nbar_r = matched_nbar_r(nbar)
-        thermal = thermal_distribution(
-            nbar, nbar_r, cutoff_for(nbar, 5e-7), cutoff_for(nbar_r, 5e-7)
-        )
-        row = {"nbar": nbar, "nbar_r": nbar_r}
-        for eta in (0.15, 0.2):
-            row[f"fidelity_eta_{eta}"] = channel_fidelity(thermal, pulse, ModeParams(eta=eta))
-        rows.append(row)
-        print(f"channel fidelity nbar={nbar}: nbar_r={nbar_r:.4f} "
-              f"F(0.15)={row['fidelity_eta_0.15']:.4f} F(0.2)={row['fidelity_eta_0.2']:.4f}")
-    write_table(rows, list(rows[0]), {"tail_tol": 1e-6}, "csv",
-                str(outdir / "channel_fidelity.csv"))
-
-
-def fidelity_surfaces(outdir: Path, points: int) -> None:
-    for eps in (0.0, 0.05):
-        rows = []
-        for nbar in np.linspace(0.0, 0.2, points):
-            for eta in np.linspace(0.05, 0.25, points):
-                cfg = TeleportConfig(nbar=float(nbar), eta=float(eta), epsilon=eps)
-                rows.append({"nbar": float(nbar), "eta": float(eta),
-                             "fidelity": teleport_fidelity("average", cfg).aggregate})
-        floor = min(r["fidelity"] for r in rows)
-        name = f"fidelity_surface_eps_{eps}.csv"
-        write_table(rows, ["nbar", "eta", "fidelity"],
-                    {"eps": eps, "input_state": "average", "points": points},
-                    "csv", str(outdir / name))
-        print(f"teleportation surface eps={eps}: min F = {floor:.4f} ({name})")
-
-
-def swap_table(outdir: Path) -> None:
-    rows = [
-        {"outcome": oc.label, "probability": oc.probability,
-         "herald": oc.herald, "fidelity": oc.fidelity}
-        for oc in entanglement_swap()
-    ]
-    write_table(rows, ["outcome", "probability", "herald", "fidelity"], {},
-                "csv", str(outdir / "swap_ideal.csv"))
-    print("ideal swap:", ", ".join(f"{r['outcome']}->{r['herald']}" for r in rows))
+def summary(name: str, rows: list[dict]) -> str:
+    if name.startswith("rabi"):
+        return f"|scaled Rabi|(0,0) = {abs(float(rows[0]['rabi'])):.5f}"
+    if name.startswith("channel"):
+        return ", ".join(f"nbar={r['nbar']}: nbar_r={float(r['nbar_r']):.4f} "
+                         f"F={float(r['fidelity']):.4f}" for r in rows)
+    if name.startswith("fidelity"):
+        return f"min F = {min(float(r['fidelity']) for r in rows):.4f}"
+    return ", ".join(f"{r['outcome']}->{r['herald']}" for r in rows)
 
 
 def main() -> int:
@@ -98,12 +48,14 @@ def main() -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    print("shared-temperature occupations:",
-          ", ".join(f"nbar={nb} -> nbar_r={matched_nbar_r(nb):.4f}" for nb in (0.2, 1.0, 5.0)))
-    rabi_surface(outdir)
-    channel_triple(outdir)
-    fidelity_surfaces(outdir, args.points)
-    swap_table(outdir)
+    for name, argv in tables(args.points).items():
+        path = outdir / name
+        # swap prints its report as well as writing the table
+        if cli.main([*argv, "--out", str(path)]) != 0:
+            return 1
+        rows = list(csv.DictReader(line for line in path.read_text().splitlines()
+                                   if not line.startswith("#")))
+        print(f"{name}: {summary(name, rows)}")
     print(f"tables written to {outdir}/")
     return 0
 

@@ -2,10 +2,12 @@
 
 Subcommands: rabi-surface, channel-fidelity, teleport, fidelity-surface,
 swap, run-script. Tables are emitted as CSV (with a ``# key=value`` metadata
-comment block) or as one JSON object with ``meta`` and ``rows``. Flag values
-override config-file values, which override built-in defaults; config files
-are flat ``key = value`` text. ``IONSIM_THREADS`` caps sweep parallelism;
-row order always follows grid order.
+comment block) or as one JSON object with ``meta`` and ``rows``; the report
+commands print JSON alone when ``--format json`` comes without ``--out``.
+Flag values override config-file values, which override built-in defaults;
+config files are flat ``key = value`` text. Every run is a
+:class:`~ionsim.protocol.TeleportConfig`, which resolves the derived
+parameters and rejects invalid ones; rows follow grid order.
 """
 
 from __future__ import annotations
@@ -14,30 +16,15 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg, protocol
-from .motional import (
-    ModeParams,
-    cutoff_for,
-    matched_nbar_r,
-    rabi_frequency,
-    thermal_distribution,
-)
-from .dynamics import PulseSpec
-from .protocol import (
-    CARDINAL_STATES,
-    InputQubit,
-    OUTCOMES,
-    PhaseConfig,
-    TeleportConfig,
-)
+from .motional import ModeParams, rabi_frequency
+from .protocol import InputQubit, OutcomeState, PhaseConfig, TeleportConfig
+from .register import OUTCOMES, split_pair
 from .pulsescript import (
     MeasureStatement,
     RotateStatement,
@@ -79,24 +66,6 @@ _CASTS = {
     "seed": int,
     "grid": str,
 }
-
-
-def _thread_count(n_items: int) -> int:
-    try:
-        t = int(os.environ.get("IONSIM_THREADS", "1"))
-    except ValueError:
-        t = 1
-    return max(1, min(t, max(1, n_items)))
-
-
-def _map_ordered(fn, items):
-    """Map preserving item order; parallel only when IONSIM_THREADS > 1."""
-    items = list(items)
-    t = _thread_count(len(items))
-    if t == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
 
 
 def _plain(obj):
@@ -150,6 +119,8 @@ def resolve_options(
             out[key] = _CASTS[key](from_file[key])
         else:
             out[key] = defaults.get(key)
+    if out.get("format", "csv") not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {out['format']!r}")
     return out
 
 
@@ -208,23 +179,6 @@ def _parse_grid(spec: str, expect: dict[str, tuple]) -> dict:
     return out
 
 
-def _phases(opts: dict) -> PhaseConfig:
-    phi0 = opts.get("phi0")
-    phi = opts.get("phi")
-    if phi0 is None:
-        phi0 = protocol.DEFAULT_PHI0
-    return PhaseConfig(phi0_a=phi0, phi0_b=phi0, phi_a=phi, phi_b=phi)
-
-
-def _validate(opts: dict) -> None:
-    if not 0 < opts["eta"] < 1:
-        raise ValueError(f"eta must lie in (0, 1), got {opts['eta']}")
-    if not abs(opts["eps"]) < 1:
-        raise ValueError(f"eps must satisfy |eps| < 1, got {opts['eps']}")
-    if opts["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {opts['format']!r}")
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -233,8 +187,6 @@ def cmd_rabi_surface(args: argparse.Namespace) -> int:
     opts = resolve_options(
         args, ["eta", "eta_r", "k", "grid", "format", "out"], overrides={"eta": 0.15}
     )
-    if opts["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {opts['format']!r}")
     modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
     grid = _parse_grid(opts["grid"] or "", {"n": ("int", list(range(26))), "nr": ("int", list(range(26)))})
     k = opts["k"]
@@ -249,19 +201,22 @@ def cmd_rabi_surface(args: argparse.Namespace) -> int:
     return 0
 
 
-def _channel_point(nbar: float, eta: float, eta_r: float | None, phases: PhaseConfig,
-                   eps: float, cutoff: int | None, tail_tol: float) -> dict:
-    modes = ModeParams(eta=eta, eta_r=eta_r)
-    nbar_r = matched_nbar_r(nbar, modes.nu_ratio)
-    c = cutoff if cutoff is not None else cutoff_for(nbar, tail_tol / 2)
-    c_r = cutoff if cutoff is not None else cutoff_for(nbar_r, tail_tol / 2)
-    thermal = thermal_distribution(nbar, nbar_r, c, c_r, tail_tol)
-    pulse = PulseSpec(phi=phases.phi_b, phi0=phases.phi0_b, epsilon=eps)
-    return {
-        "nbar": nbar,
-        "nbar_r": nbar_r,
-        "fidelity": protocol.channel_fidelity(thermal, pulse, modes),
-    }
+def _teleport_config(opts: dict, **point) -> TeleportConfig:
+    """The run described by resolved options, with ``point`` (a grid point's
+    ``nbar`` and ``eta``) taking precedence; options a subcommand does not
+    take keep their built-in defaults."""
+    o = {**DEFAULTS, **opts, **point}
+    return TeleportConfig(
+        eta=o["eta"],
+        eta_r=o["eta_r"],
+        nbar=float(o["nbar"]),
+        epsilon=o["eps"],
+        phases=PhaseConfig(phi0_a=o["phi0"], phi0_b=o["phi0"], phi_a=o["phi"], phi_b=o["phi"]),
+        k=o["k"],
+        tail_tol=o["tail_tol"],
+        cutoff=o["cutoff"],
+        cutoff_r=o["cutoff"],
+    )
 
 
 def cmd_channel_fidelity(args: argparse.Namespace) -> int:
@@ -270,36 +225,19 @@ def cmd_channel_fidelity(args: argparse.Namespace) -> int:
         ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "cutoff", "tail_tol", "format", "out"],
         overrides={"nbar": "0.2,1,5"},
     )
-    _validate(opts)
-    nbars = [float(v) for v in str(opts["nbar"]).split(",")]
-    phases = _phases(opts)
-    rows = _map_ordered(
-        lambda nb: _channel_point(nb, opts["eta"], opts["eta_r"], phases,
-                                  opts["eps"], opts["cutoff"], opts["tail_tol"]),
-        nbars,
-    )
-    meta = {"command": "channel-fidelity", "eta": opts["eta"],
-            "eta_r": ModeParams(eta=opts["eta"], eta_r=opts["eta_r"]).eta_r,
-            "eps": opts["eps"], "tail_tol": opts["tail_tol"],
+    configs = [_teleport_config(opts, nbar=v) for v in str(opts["nbar"]).split(",")]
+    rows = [
+        {"nbar": cfg.nbar, "nbar_r": cfg.nbar_r,
+         "fidelity": protocol.channel_fidelity(cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes())}
+        for cfg in configs
+    ]
+    cfg = configs[0]
+    meta = {"command": "channel-fidelity", "eta": cfg.eta, "eta_r": cfg.modes().eta_r,
+            "eps": cfg.epsilon, "tail_tol": cfg.tail_tol,
             "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
-            "phi_b": phases.phi_b, "phi0": phases.phi0_b}
+            "phi_b": cfg.phases.phi_b, "phi0": cfg.phases.phi0_b}
     write_table(rows, ["nbar", "nbar_r", "fidelity"], meta, opts["format"], opts["out"])
     return 0
-
-
-def _teleport_config(opts: dict) -> TeleportConfig:
-    k = opts.get("k")
-    return TeleportConfig(
-        eta=opts["eta"],
-        eta_r=opts["eta_r"],
-        nbar=float(opts["nbar"]),
-        epsilon=opts["eps"],
-        phases=_phases(opts),
-        k=1 if k is None else k,
-        tail_tol=opts["tail_tol"],
-        cutoff=opts["cutoff"],
-        cutoff_r=opts["cutoff"],
-    )
 
 
 def _print_report(report: protocol.FidelityReport, stream) -> None:
@@ -316,17 +254,20 @@ def _print_report(report: protocol.FidelityReport, stream) -> None:
     stream.write(f"  aggregate fidelity: {report.aggregate:.8f}\n")
 
 
+def _json_only(opts: dict) -> bool:
+    """``--format json`` without ``--out``: standard output carries only JSON."""
+    return opts["format"] == "json" and not opts["out"]
+
+
 def cmd_teleport(args: argparse.Namespace) -> int:
     opts = resolve_options(
         args,
         ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "cutoff", "tail_tol",
          "input_state", "format", "out", "seed"],
     )
-    _validate(opts)
-    cfg = _teleport_config(opts)
-    report = protocol.teleport_fidelity(opts["input_state"], cfg)
+    report = protocol.teleport_fidelity(opts["input_state"], _teleport_config(opts))
     payload = json.dumps(_plain(report.to_dict()), indent=2, sort_keys=True) + "\n"
-    if opts["format"] == "json" and not opts["out"]:
+    if _json_only(opts):
         sys.stdout.write(payload)
     else:
         _print_report(report, sys.stdout)
@@ -345,10 +286,6 @@ def cmd_fidelity_surface(args: argparse.Namespace) -> int:
         args,
         ["eta_r", "eps", "phi", "phi0", "tail_tol", "cutoff", "grid", "input_state", "format", "out"],
     )
-    if not abs(opts["eps"]) < 1:
-        raise ValueError(f"eps must satisfy |eps| < 1, got {opts['eps']}")
-    if opts["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {opts['format']!r}")
     grid = _parse_grid(
         opts["grid"] or "",
         {
@@ -356,19 +293,12 @@ def cmd_fidelity_surface(args: argparse.Namespace) -> int:
             "eta": ("float", [float(v) for v in np.linspace(0.05, 0.25, 20)]),
         },
     )
-    points = [(nb, et) for nb in grid["nbar"] for et in grid["eta"]]
-
-    def evaluate(point):
-        nb, et = point
-        cfg = TeleportConfig(
-            eta=et, eta_r=opts["eta_r"], nbar=nb, epsilon=opts["eps"],
-            phases=_phases(opts), tail_tol=opts["tail_tol"],
-            cutoff=opts["cutoff"], cutoff_r=opts["cutoff"],
-        )
-        report = protocol.teleport_fidelity(opts["input_state"], cfg)
-        return {"nbar": nb, "eta": et, "fidelity": report.aggregate}
-
-    rows = _map_ordered(evaluate, points)
+    rows = [
+        {"nbar": nb, "eta": et, "fidelity": protocol.teleport_fidelity(
+            opts["input_state"], _teleport_config(opts, nbar=nb, eta=et)).aggregate}
+        for nb in grid["nbar"]
+        for et in grid["eta"]
+    ]
     meta = {"command": "fidelity-surface", "eps": opts["eps"], "input_state": opts["input_state"],
             "tail_tol": opts["tail_tol"], "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
             "nbar_points": len(grid["nbar"]), "eta_points": len(grid["eta"])}
@@ -380,40 +310,31 @@ def cmd_swap(args: argparse.Namespace) -> int:
     opts = resolve_options(
         args, ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "tail_tol", "cutoff", "format", "out"]
     )
-    _validate(opts)
-    phases = _phases(opts)
-    pulse = PulseSpec(phi=phases.phi_a, phi0=phases.phi0_a, epsilon=opts["eps"])
-    nbar = float(opts["nbar"])
-    thermal = None
-    modes = None
-    if nbar > 0:
-        modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
-        nbar_r = matched_nbar_r(nbar, modes.nu_ratio)
-        c = opts["cutoff"] if opts["cutoff"] is not None else cutoff_for(nbar, opts["tail_tol"] / 2)
-        c_r = opts["cutoff"] if opts["cutoff"] is not None else cutoff_for(nbar_r, opts["tail_tol"] / 2)
-        thermal = thermal_distribution(nbar, nbar_r, c, c_r, opts["tail_tol"])
-    outcomes = protocol.entanglement_swap(pulse, phases, thermal, modes)
+    cfg = _teleport_config(opts)
+    # a cold trap takes the Lamb-Dicke-limit pulse
+    thermal, modes = (cfg.thermal(), cfg.modes()) if cfg.nbar > 0 else (None, None)
+    outcomes = protocol.entanglement_swap(cfg.analyzer_pulse_spec(), cfg.phases, thermal, modes)
     rows = [
         {"outcome": oc.label, "probability": oc.probability, "herald": oc.herald, "fidelity": oc.fidelity}
         for oc in outcomes
     ]
-    sys.stdout.write("entanglement swapping report\n")
-    for r in rows:
-        sys.stdout.write(
-            f"  outcome {r['outcome']}: p={r['probability']:.8f} heralds {r['herald']} "
-            f"fidelity {r['fidelity']:.8f}\n"
-        )
-    if opts["out"]:
-        meta = {"command": "swap", "nbar": nbar, "eps": opts["eps"], "eta": opts["eta"]}
+    if not _json_only(opts):
+        sys.stdout.write("entanglement swapping report\n")
+        for r in rows:
+            sys.stdout.write(
+                f"  outcome {r['outcome']}: p={r['probability']:.8f} heralds {r['herald']} "
+                f"fidelity {r['fidelity']:.8f}\n"
+            )
+    if opts["out"] or opts["format"] == "json":
+        meta = {"command": "swap", "nbar": cfg.nbar, "eps": cfg.epsilon, "eta": cfg.eta}
         write_table(rows, ["outcome", "probability", "herald", "fidelity"], meta, opts["format"], opts["out"])
     return 0
 
 
 def cmd_run_script(args: argparse.Namespace) -> int:
     opts = resolve_options(args, ["eps", "phi", "phi0", "input_state", "format", "out"])
-    text = Path(args.script).read_text()
-    script = parse_pulse_script(text)
-    phases = _phases(opts)
+    cfg = _teleport_config(opts)
+    script = parse_pulse_script(Path(args.script).read_text())
     max_ion = 0
     measures = []
     for st in script.statements:
@@ -429,7 +350,7 @@ def cmd_run_script(args: argparse.Namespace) -> int:
     initial = q.vector
     for _ in range(n_ions - 1):
         initial = np.kron(initial, np.array([1.0, 0.0], dtype=complex))
-    result = execute_script(script, n_ions, initial, phases)
+    result = execute_script(script, n_ions, initial, cfg.phases)
 
     branches = []
     for b in result.branches:
@@ -449,38 +370,31 @@ def cmd_run_script(args: argparse.Namespace) -> int:
         and measures[0] is script.statements[-1]
     )
     if teleport_shaped:
-        probs = {}
-        fids = {}
-        aggregate = 0.0
-        ideal = linalg.projector(q.vector)
+        # the measurement labels each branch; ion 3 is what remains of it
+        outcomes = []
         for b in result.branches:
             label = b.outcomes[-1][1]
-            probs[label] = b.probability
-            if b.amplitudes is None:
-                fids[label] = 0.0
-                continue
-            v = b.amplitudes.reshape(4, 2)[{"dd": 0, "du": 1, "ud": 2, "uu": 3}[label]]
-            rho = linalg.projector(v)
-            rho = protocol.correct_ion3(label, rho, nbar_b=0.0, eta_b=0.0, epsilon=opts["eps"])
-            f = linalg.fidelity(ideal, rho)
-            fids[label] = f
-            aggregate += b.probability * f
+            state = None
+            if b.amplitudes is not None:
+                state = linalg.projector(split_pair(b.amplitudes, (0, 1), 3)[OUTCOMES.index(label)])
+            outcomes.append(OutcomeState(label, b.probability, state))
+        probs, fids, aggregate = protocol.score_outcomes(outcomes, linalg.projector(q.vector), cfg)
         payload["teleport"] = {
             "outcome_probs": probs,
             "outcome_fidelities": fids,
             "aggregate": aggregate,
         }
-        sys.stdout.write("pulse script report (teleport-shaped)\n")
-        for o in OUTCOMES:
-            sys.stdout.write(
-                f"  outcome {o}: p={probs.get(o, 0.0):.8f} corrected fidelity {fids.get(o, 0.0):.8f}\n"
-            )
-        sys.stdout.write(f"  aggregate fidelity: {aggregate:.8f}\n")
+        lines = ["pulse script report (teleport-shaped)"]
+        lines += [f"  outcome {o}: p={probs.get(o, 0.0):.8f} corrected fidelity {fids.get(o, 0.0):.8f}"
+                  for o in OUTCOMES]
+        lines.append(f"  aggregate fidelity: {aggregate:.8f}")
     else:
-        sys.stdout.write(f"pulse script report: {len(result.branches)} branch(es)\n")
+        lines = [f"pulse script report: {len(result.branches)} branch(es)"]
         for b in result.branches:
             labels = "; ".join(f"ions {i},{j}: {lab}" for (i, j), lab in b.outcomes) or "(no measurement)"
-            sys.stdout.write(f"  p={b.probability:.8f}  {labels}\n")
+            lines.append(f"  p={b.probability:.8f}  {labels}")
+    if not _json_only(opts):
+        sys.stdout.write("\n".join(lines) + "\n")
 
     if opts["out"] or opts["format"] == "json":
         text_out = json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"

@@ -70,15 +70,13 @@ class PulseSpec:
 class SectorState:
     """Electronic pure state attached to one motional Fock sector.
 
-    ``n`` and ``n_r`` label the modes of the trap hosting the pulsed pair,
-    ``n_b`` the mode of the remote trap when one is tracked.
+    ``n`` and ``n_r`` label the modes of the trap hosting the pulsed pair.
     """
 
     n: int
     n_r: int
     weight: float
     amplitudes: np.ndarray
-    n_b: int = 0
 
     def __post_init__(self) -> None:
         if self.weight < 0:

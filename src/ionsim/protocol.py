@@ -18,27 +18,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .dynamics import (
-    PulseSpec,
-    SectorState,
-    carrier_rotation,
-    ld_pulse_unitary,
-    sector_unitary,
-)
+from .dynamics import PAULI, PulseSpec, SectorState, ld_pulse_unitary, sector_unitary
 from .motional import (
     ModeParams,
     TAIL_TOL_DEFAULT,
     ThermalSpec,
     cutoff_for,
+    laguerre,
     matched_nbar_r,
     rabi_frequency,
     thermal_distribution,
     thermal_weights,
     NU_RATIO_DEFAULT,
 )
-
-#: Measurement outcome labels in fixed order; d = lower level, first ion first.
-OUTCOMES = ("dd", "du", "ud", "uu")
+from .register import EMPTY_PROB, OUTCOMES, apply, split_pair
 
 #: Conditional correction applied to the receiving ion per outcome.
 CORRECTION_AXES = {"dd": "z", "du": "y", "ud": "x", "uu": None}
@@ -90,7 +83,7 @@ class InputQubit:
 
     def __post_init__(self) -> None:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"input amplitudes have norm {norm!r}, expected 1")
 
     @property
@@ -155,8 +148,8 @@ class TeleportConfig:
     def __post_init__(self) -> None:
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if self.nbar < 0:
-            raise ValueError("nbar must be nonnegative")
+        if not 0 <= self.nbar < math.inf:
+            raise ValueError(f"nbar must be finite and nonnegative, got {self.nbar!r}")
         if not abs(self.epsilon) < 1:
             raise ValueError("pulse-area imprecision must satisfy |epsilon| < 1")
         if self.nbar_r is None:
@@ -270,28 +263,6 @@ def channel_target_state(phi_b: float) -> np.ndarray:
     return out
 
 
-def _apply_pair(u4: np.ndarray, amps: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """Apply a two-qubit unitary at qubit positions ``pair`` of a register."""
-    i, j = pair
-    t = amps.reshape((2,) * n_qubits)
-    t = np.moveaxis(t, (i, j), (0, 1)).reshape(4, -1)
-    t = (u4 @ t).reshape((2, 2) + (2,) * (n_qubits - 2))
-    return np.moveaxis(t, (0, 1), (i, j)).reshape(-1)
-
-
-def _split_pair(amps: np.ndarray, pair: tuple[int, int], n_qubits: int) -> dict[str, np.ndarray]:
-    """Unnormalized remaining-ion vectors for each outcome of measuring
-    ``pair`` in the energy basis. Remaining qubits keep their order."""
-    i, j = pair
-    t = np.moveaxis(amps.reshape((2,) * n_qubits), (i, j), (0, 1)).reshape(2, 2, -1)
-    bits = {"d": 0, "u": 1}
-    return {
-        a + b: t[bits[a], bits[b]].copy()
-        for a in "du"
-        for b in "du"
-    }
-
-
 def prepare_channel(
     thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams
 ) -> list[SectorState]:
@@ -355,7 +326,7 @@ def analyzer_pulse(
     out = []
     for s in register:
         u = sector_unitary(pulse.k, pulse.phi, pulse.phi0, rabi_frequency(pulse.k, s.n, s.n_r, modes), t)
-        out.append(replace(s, amplitudes=_apply_pair(u, s.amplitudes, pair, n_qubits)))
+        out.append(replace(s, amplitudes=apply(u, s.amplitudes, pair, n_qubits)))
     return out
 
 
@@ -371,20 +342,15 @@ def measure_and_condition(
     the posterior density operator of the unmeasured ions; an outcome of zero
     probability is flagged empty rather than raising.
     """
-    d_rest = 2 ** (n_qubits - 2)
-    rho = {o: np.zeros((d_rest, d_rest), dtype=complex) for o in OUTCOMES}
-    for s in register:
-        branches = _split_pair(s.amplitudes, pair, n_qubits)
-        for o in OUTCOMES:
-            v = branches[o]
-            rho[o] += s.weight * np.outer(v, v.conj())
+    weights = np.array([s.weight for s in register])
+    branches = np.array([split_pair(s.amplitudes, pair, n_qubits) for s in register])
+    rho = np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
     out = []
-    for o in OUTCOMES:
-        p = float(np.trace(rho[o]).real)
-        if p <= 1e-14:
+    for o, r, p in zip(OUTCOMES, rho, np.einsum("oii->o", rho).real.tolist()):
+        if p <= EMPTY_PROB:
             out.append(OutcomeState(label=o, probability=0.0, state=None))
         else:
-            out.append(OutcomeState(label=o, probability=p, state=rho[o] / p))
+            out.append(OutcomeState(label=o, probability=p, state=r / p))
     return out
 
 
@@ -397,50 +363,60 @@ def correct_ion3(
     cutoff_b: int | None = None,
     tail_tol: float = TAIL_TOL_DEFAULT,
 ) -> np.ndarray:
-    """Conditional recovery rotation on the receiving ion, mixed over the
-    thermal occupation of its host trap.
+    """Conditional recovery rotation on the receiving ion, the last qubit of
+    the posterior ``state``, mixed over the thermal occupation of its host
+    trap.
 
     Outcome 'uu' needs no pulse and therefore introduces no error; the others
-    get a pi rotation about z, x or y whose angle per Fock level n carries
-    the carrier Debye-Waller factor L_n(eta_b^2) and the area imprecision.
+    get a pi rotation about z, x or y whose angle per Fock level n,
+    theta_n = pi (1 + epsilon) L_n(eta_b^2), carries the carrier Debye-Waller
+    factor and the area imprecision. With R_n = c_n I - i s_n sigma,
+    c_n = cos(theta_n/2) and s_n = sin(theta_n/2), the thermal mixture
+    sum_n w_n R_n rho R_n^+ equals
+    A rho + B sigma rho sigma + i C (rho sigma - sigma rho)
+    with A = sum_n w_n c_n^2, B = sum_n w_n s_n^2 and C = sum_n w_n c_n s_n,
+    so no per-level matrix product is formed.
     """
     if outcome not in CORRECTION_AXES:
         raise ValueError(f"unknown outcome {outcome!r}")
     axis = CORRECTION_AXES[outcome]
+    rho = np.array(state, dtype=complex)
     if axis is None:
-        return np.array(state, dtype=complex)
+        return rho
     if cutoff_b is None:
         cutoff_b = cutoff_for(nbar_b, tail_tol)
     weights = thermal_weights(nbar_b, cutoff_b)
     weights = weights / weights.sum()
-    out = np.zeros_like(np.asarray(state, dtype=complex))
-    for n_b, w in enumerate(weights):
-        r = carrier_rotation(axis, math.pi, n=n_b, eta_local=eta_b, epsilon=epsilon)
-        out += w * (r @ state @ r.conj().T)
-    return out
+    debye_waller = np.array([laguerre(n, 0, eta_b**2) for n in range(cutoff_b + 1)])
+    theta = math.pi * (1.0 + epsilon) * debye_waller
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    a, b, cs = weights @ (c * c), weights @ (s * s), weights @ (c * s)
+    sigma = np.kron(np.eye(rho.shape[0] // 2), PAULI[axis])
+    rho_sigma, sigma_rho = rho @ sigma, sigma @ rho
+    return a * rho + b * (sigma @ rho_sigma) + 1j * cs * (rho_sigma - sigma_rho)
 
 
-def _correct_last_qubit(
-    outcome: str, rho: np.ndarray, cfg: TeleportConfig
-) -> np.ndarray:
-    """Correction on the last qubit of a (possibly multi-qubit) posterior."""
-    axis = CORRECTION_AXES[outcome]
-    if axis is None:
-        return rho
-    if rho.shape[0] == 2:
-        return correct_ion3(
-            outcome, rho, cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol
+def score_outcomes(
+    outcomes: list[OutcomeState], ideal: np.ndarray, cfg: TeleportConfig
+) -> tuple[dict[str, float], dict[str, float], float]:
+    """Correct the last qubit of every measurement branch with trap B of
+    ``cfg`` and score it against ``ideal``. Returns per-outcome
+    probabilities, fidelities (0 for an empty branch) and their aggregate
+    sum_o p_o F_o."""
+    probs: dict[str, float] = {}
+    fids: dict[str, float] = {}
+    aggregate = 0.0
+    for oc in outcomes:
+        probs[oc.label] = oc.probability
+        if oc.empty:
+            fids[oc.label] = 0.0
+            continue
+        corrected = correct_ion3(
+            oc.label, oc.state, cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol
         )
-    weights = thermal_weights(cfg.nbar_b, cfg.cutoff_b)
-    weights = weights / weights.sum()
-    d_front = rho.shape[0] // 2
-    eye = np.eye(d_front, dtype=complex)
-    out = np.zeros_like(rho)
-    for n_b, w in enumerate(weights):
-        r = carrier_rotation(axis, math.pi, n=n_b, eta_local=cfg.eta_b, epsilon=cfg.epsilon)
-        full = np.kron(eye, r)
-        out += w * (full @ rho @ full.conj().T)
-    return out
+        fids[oc.label] = linalg.fidelity(ideal, corrected)
+        aggregate += oc.probability * fids[oc.label]
+    return probs, fids, aggregate
 
 
 def _pipeline(
@@ -453,28 +429,14 @@ def _pipeline(
     """Analyzer pulse, measurement and correction on an arbitrary register;
     the last qubit receives the conditional correction. Returns per-outcome
     probabilities, fidelities against ``ideal``, and their aggregate."""
-    thermal = cfg.thermal()
-    modes = cfg.modes()
-    pulse = cfg.analyzer_pulse_spec()
     register = [
         SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
-        for n, n_r, w in thermal.sectors()
+        for n, n_r, w in cfg.thermal().sectors()
     ]
-    register = analyzer_pulse(register, pulse, modes, pair=pair, n_qubits=n_qubits)
+    pulse = cfg.analyzer_pulse_spec()
+    register = analyzer_pulse(register, pulse, cfg.modes(), pair=pair, n_qubits=n_qubits)
     outcomes = measure_and_condition(register, pair=pair, n_qubits=n_qubits)
-    probs: dict[str, float] = {}
-    fids: dict[str, float] = {}
-    aggregate = 0.0
-    for oc in outcomes:
-        probs[oc.label] = oc.probability
-        if oc.empty:
-            fids[oc.label] = 0.0
-            continue
-        corrected = _correct_last_qubit(oc.label, oc.state, cfg)
-        f = linalg.fidelity(ideal, corrected)
-        fids[oc.label] = f
-        aggregate += oc.probability * f
-    return probs, fids, aggregate
+    return score_outcomes(outcomes, ideal, cfg)
 
 
 def teleport_fidelity(
@@ -573,7 +535,7 @@ def entanglement_swap(
     if thermal is None:
         u = ld_pulse_unitary(pulse.k, pulse.phi, pulse.phi0, (1 + pulse.epsilon) * pulse.area)
         register = [
-            SectorState(n=0, n_r=0, weight=1.0, amplitudes=_apply_pair(u, initial, (1, 2), 4))
+            SectorState(n=0, n_r=0, weight=1.0, amplitudes=apply(u, initial, (1, 2), 4))
         ]
     else:
         if modes is None:

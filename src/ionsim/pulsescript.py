@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import carrier_rotation, ld_pulse_unitary
-from .protocol import OUTCOMES, PhaseConfig, _apply_pair, _split_pair
+from .protocol import PhaseConfig
+from .register import EMPTY_PROB, OUTCOMES, apply, collapse_pair
 
 
 class ScriptError(ValueError):
@@ -230,49 +231,31 @@ def execute_script(
         return ion - 1
 
     for st in script.statements:
-        if isinstance(st, PulseStatement):
-            pair = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
-            phi = st.phi if st.phi is not None else phases.phi_a
-            phi0 = st.phi0 if st.phi0 is not None else phases.phi0_a
-            u = ld_pulse_unitary(st.k, phi, phi0, (1 + st.eps) * st.area)
-            for b in branches:
-                if b.amplitudes is not None:
-                    b.amplitudes = _apply_pair(u, b.amplitudes, pair, n_ions)
-        elif isinstance(st, RotateStatement):
-            q = check_ion(st.ion, st.line)
-            r = carrier_rotation(st.axis, st.angle, epsilon=st.eps)
-            for b in branches:
-                if b.amplitudes is not None:
-                    t = np.moveaxis(b.amplitudes.reshape((2,) * n_ions), q, 0).reshape(2, -1)
-                    t = r @ t
-                    b.amplitudes = np.moveaxis(
-                        t.reshape((2,) + (2,) * (n_ions - 1)), 0, q
-                    ).reshape(-1)
-        else:
+        if isinstance(st, MeasureStatement):
             pair = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
             split: list[Branch] = []
             for b in branches:
                 if b.amplitudes is None:
                     split.append(b)
                     continue
-                parts = _split_pair(b.amplitudes, pair, n_ions)
-                for label in OUTCOMES:
-                    v = parts[label]
-                    p = float(np.vdot(v, v).real)
+                probs, collapsed = collapse_pair(b.amplitudes, pair, n_ions)
+                for label, p, amps in zip(OUTCOMES, probs.tolist(), collapsed):
                     outcomes = b.outcomes + [(st.ions, label)]
-                    if p <= 1e-14:
+                    if p <= EMPTY_PROB:
                         split.append(Branch(0.0, None, outcomes))
                     else:
-                        # measured ions collapse; remaining amplitudes renormalized
-                        full = np.zeros_like(b.amplitudes).reshape((2,) * n_ions)
-                        idx = {"d": 0, "u": 1}
-                        sel = [slice(None)] * n_ions
-                        sel[pair[0]] = idx[label[0]]
-                        sel[pair[1]] = idx[label[1]]
-                        rest_shape = tuple(2 for q in range(n_ions) if q not in pair)
-                        full[tuple(sel)] = (v / math.sqrt(p)).reshape(rest_shape)
-                        split.append(
-                            Branch(b.probability * p, full.reshape(-1), outcomes)
-                        )
+                        split.append(Branch(b.probability * p, amps, outcomes))
             branches = split
+            continue
+        if isinstance(st, PulseStatement):
+            qubits = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
+            phi = st.phi if st.phi is not None else phases.phi_a
+            phi0 = st.phi0 if st.phi0 is not None else phases.phi0_a
+            op = ld_pulse_unitary(st.k, phi, phi0, (1 + st.eps) * st.area)
+        else:
+            qubits = (check_ion(st.ion, st.line),)
+            op = carrier_rotation(st.axis, st.angle, epsilon=st.eps)
+        for b in branches:
+            if b.amplitudes is not None:
+                b.amplitudes = apply(op, b.amplitudes, qubits, n_ions)
     return ScriptResult(n_ions=n_ions, branches=branches)

@@ -253,3 +253,28 @@ class TestValidation:
         )
         assert code == 1
         assert err.startswith("error: ")
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--nbar", nbar] for command in ("teleport", "channel-fidelity", "swap")
+         for nbar in ("nan", "inf", "-1")]
+        + [["teleport", "--input-state", "nan,1"]],
+    )
+    def test_one_line_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestJsonStdout:
+    @pytest.mark.parametrize("argv", [["teleport", "--nbar", "0"], ["swap", "--nbar", "0.2"], ["run-script"]])
+    def test_format_json_without_out_prints_only_json(self, capsys, tmp_path, argv):
+        if argv == ["run-script"]:
+            script = tmp_path / "teleport.ps"
+            script.write_text(TELEPORT_SCRIPT)
+            argv = ["run-script", str(script)]
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert isinstance(json.loads(out), dict)

@@ -358,3 +358,37 @@ class TestEntanglementTeleport:
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             entanglement_teleport(np.array([1, 0, 0, 1], dtype=complex), TeleportConfig())
+
+
+def per_level_correction(outcome, rho, nbar_b, eta_b, epsilon):
+    """Thermal mixture sum_n w_n R_n rho R_n^+ of the per-level rotations on
+    the last qubit, level by level."""
+    axis = {"dd": "z", "du": "y", "ud": "x"}[outcome]
+    cutoff = cutoff_for(nbar_b, 1e-6)
+    weights = np.array([nbar_b**n / (1 + nbar_b) ** (n + 1) for n in range(cutoff + 1)])
+    weights /= weights.sum()
+    out = np.zeros_like(rho)
+    for n, w in enumerate(weights):
+        r = np.kron(np.eye(rho.shape[0] // 2), carrier_rotation(axis, math.pi, n, eta_b, epsilon))
+        out += w * (r @ rho @ r.conj().T)
+    return out
+
+
+class TestCorrectionClosedForm:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("outcome", ["dd", "du", "ud"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        nbar_b=st.floats(0.0, 3.0),
+        eta_b=st.floats(0.01, 0.3),
+        epsilon=st.floats(-0.2, 0.2),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_per_level_mixture(self, dim, outcome, nbar_b, eta_b, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        got = correct_ion3(outcome, rho, nbar_b, eta_b, epsilon)
+        expected = per_level_correction(outcome, rho, nbar_b, eta_b, epsilon)
+        assert np.max(np.abs(got - expected)) <= 1e-12
