@@ -2,6 +2,10 @@
 two-ion analyzer pulse, projective measurement with conditional correction,
 end-to-end fidelity reports, entanglement teleportation and swapping.
 
+Every teleport report comes from one Bell-pair channel run: the analyzer and
+measurement of ions 2 and 3 on Phi+(ions 1, 2) x channel(ions 3, 4) leave the
+Choi state of each outcome channel, which every input contracts on ion 1.
+
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
 with d ordered before u. A pi/4 double-sideband pulse on ions prepared in
 |dd> yields (|dd> - i exp(2i phi_B) |uu>)/sqrt(2); with the default phases
@@ -146,8 +150,6 @@ class TeleportConfig:
     cutoff_b: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must lie in (0, 1)")
         if not 0 <= self.nbar < math.inf:
             raise ValueError(f"nbar must be finite and nonnegative, got {self.nbar!r}")
         if not abs(self.epsilon) < 1:
@@ -158,6 +160,13 @@ class TeleportConfig:
             object.__setattr__(self, "nbar_b", self.nbar)
         if self.eta_b is None:
             object.__setattr__(self, "eta_b", self.eta)
+        for name in ("eta", "eta_b"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1)")
+        for name in ("nbar_r", "nbar_b"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         # each of the two trap-A modes gets half the tail budget so the
         # product truncation stays within tail_tol
         if self.cutoff is None:
@@ -342,11 +351,21 @@ def measure_and_condition(
     the posterior density operator of the unmeasured ions; an outcome of zero
     probability is flagged empty rather than raising.
     """
+    return _outcome_states(_posteriors(register, pair, n_qubits))
+
+
+def _posteriors(register: list[SectorState], pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+    """Unnormalised posteriors of the unmeasured ions, in ``OUTCOMES`` order."""
     weights = np.array([s.weight for s in register])
     branches = np.array([split_pair(s.amplitudes, pair, n_qubits) for s in register])
-    rho = np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
+    return np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
+
+
+def _outcome_states(posteriors: np.ndarray) -> list[OutcomeState]:
+    """The four branches of unnormalised posteriors given in ``OUTCOMES``
+    order; a posterior of trace at most ``EMPTY_PROB`` is an empty branch."""
     out = []
-    for o, r, p in zip(OUTCOMES, rho, np.einsum("oii->o", rho).real.tolist()):
+    for o, r, p in zip(OUTCOMES, posteriors, np.einsum("oii->o", posteriors).real.tolist()):
         if p <= EMPTY_PROB:
             out.append(OutcomeState(label=o, probability=0.0, state=None))
         else:
@@ -419,70 +438,58 @@ def score_outcomes(
     return probs, fids, aggregate
 
 
-def _pipeline(
-    initial: np.ndarray,
-    ideal: np.ndarray,
-    cfg: TeleportConfig,
-    pair: tuple[int, int],
-    n_qubits: int,
-) -> tuple[dict[str, float], dict[str, float], float]:
-    """Analyzer pulse, measurement and correction on an arbitrary register;
-    the last qubit receives the conditional correction. Returns per-outcome
-    probabilities, fidelities against ``ideal``, and their aggregate."""
+def _bell_channel(cfg: TeleportConfig) -> np.ndarray:
+    """Probability-weighted posteriors J_o of ions 1 and 4, a (4, 4, 4) array
+    in ``OUTCOMES`` order, from the analyzer pulse and measurement of ions 2
+    and 3 on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction.
+
+    J_o is the Choi state of the uncorrected channel E_o from the input ion
+    to the receiving ion.
+    """
+    initial = linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.phases.phi_b))
     register = [
         SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
         for n, n_r, w in cfg.thermal().sectors()
     ]
-    pulse = cfg.analyzer_pulse_spec()
-    register = analyzer_pulse(register, pulse, cfg.modes(), pair=pair, n_qubits=n_qubits)
-    outcomes = measure_and_condition(register, pair=pair, n_qubits=n_qubits)
-    return score_outcomes(outcomes, ideal, cfg)
+    register = analyzer_pulse(register, cfg.analyzer_pulse_spec(), cfg.modes(), pair=(1, 2), n_qubits=4)
+    return _posteriors(register, pair=(1, 2), n_qubits=4)
+
+
+def _teleport(
+    state: np.ndarray, cfg: TeleportConfig
+) -> tuple[dict[str, float], dict[str, float], float]:
+    """Score the teleport of the last qubit of a one- or two-ion ``state``.
+
+    With X = state.reshape(-1, 2), state equals sqrt(2) (X x I) Phi+, so the
+    posterior of outcome o is 2 (X x I) J_o (X x I)^+ of the Bell-pair run.
+    """
+    x = np.kron(state.reshape(-1, 2), np.eye(2))
+    posteriors = 2 * x @ _bell_channel(cfg) @ x.conj().T
+    return score_outcomes(_outcome_states(posteriors), linalg.projector(state), cfg)
 
 
 def teleport_fidelity(
     input_state: InputQubit | str, config: TeleportConfig | None = None
 ) -> FidelityReport:
-    """Run the full pipeline for one input state, or for 'average' the
+    """Teleportation report for one input state, or for 'average' the
     uniform average over the six cardinal Bloch states.
 
     The channel in ions 2 and 3 is taken as the exact Bell state; the trap
     hosting ions 1 and 2 holds the two-mode thermal mixture and the remote
-    trap the one-mode mixture entering the correction.
+    trap the one-mode mixture entering the correction. The report comes from
+    one Bell-pair channel run. 'average' teleports half of Phi+ and reports
+    F_o = (2 F_e,o + 1)/3 from its fidelities F_e,o, exact because the
+    cardinal states form a qubit 2-design (Horodecki et al., PRA 60, 1888
+    (1999); Nielsen, Phys. Lett. A 303, 249 (2002)).
     """
     cfg = config if config is not None else TeleportConfig()
     if isinstance(input_state, str) and input_state.strip().lower() == "average":
-        singles = [
-            _teleport_single(q, cfg) for q in CARDINAL_STATES.values()
-        ]
-        n = len(singles)
-        probs = {o: sum(s[0][o] for s in singles) / n for o in OUTCOMES}
-        weighted = {o: sum(s[0][o] * s[1][o] for s in singles) / n for o in OUTCOMES}
-        fids = {o: (weighted[o] / probs[o] if probs[o] > 0 else 0.0) for o in OUTCOMES}
-        aggregate = sum(weighted.values())
-        return FidelityReport(
-            outcome_probs=probs,
-            outcome_fidelities=fids,
-            aggregate=aggregate,
-            params=cfg.describe(),
-            input_state="average",
-        )
+        probs, ent_fids, _ = _teleport(BELL_STATES["phi+"], cfg)
+        fids = {o: (2 * f + 1) / 3 if probs[o] > 0 else 0.0 for o, f in ent_fids.items()}
+        aggregate = sum(probs[o] * fids[o] for o in OUTCOMES)
+        return FidelityReport(probs, fids, aggregate, cfg.describe(), "average")
     q = InputQubit.from_spec(input_state) if isinstance(input_state, str) else input_state
-    probs, fids, aggregate = _teleport_single(q, cfg)
-    return FidelityReport(
-        outcome_probs=probs,
-        outcome_fidelities=fids,
-        aggregate=aggregate,
-        params=cfg.describe(),
-        input_state=f"{q.alpha},{q.beta}",
-    )
-
-
-def _teleport_single(
-    q: InputQubit, cfg: TeleportConfig
-) -> tuple[dict[str, float], dict[str, float], float]:
-    initial = linalg.tensor(q.vector, channel_target_state(cfg.phases.phi_b))
-    ideal = linalg.projector(q.vector)
-    return _pipeline(initial, ideal, cfg, pair=(0, 1), n_qubits=3)
+    return FidelityReport(*_teleport(q.vector, cfg), cfg.describe(), f"{q.alpha},{q.beta}")
 
 
 def entanglement_teleport(
@@ -490,9 +497,9 @@ def entanglement_teleport(
 ) -> FidelityReport:
     """Teleport one half of an arbitrary two-qubit state.
 
-    Ions 1 and 2 start in ``input_state`` and ions 3 and 4 in the Bell
-    channel; the single-state pipeline acts on ions 2, 3 and 4, leaving the
-    input entanglement shared between ions 1 and 4.
+    Ions 1 and 2 hold ``input_state`` and ion 2 is teleported through the
+    same Bell-pair channel run as ``teleport_fidelity``, leaving the input
+    entanglement shared between ions 1 and 4.
     """
     cfg = config if config is not None else TeleportConfig()
     psi = np.asarray(input_state, dtype=complex)
@@ -501,16 +508,8 @@ def entanglement_teleport(
     norm = float(np.vdot(psi, psi).real)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"input state has norm {norm!r}, expected 1")
-    initial = linalg.tensor(psi, channel_target_state(cfg.phases.phi_b))
-    ideal = linalg.projector(psi)
-    probs, fids, aggregate = _pipeline(initial, ideal, cfg, pair=(1, 2), n_qubits=4)
-    return FidelityReport(
-        outcome_probs=probs,
-        outcome_fidelities=fids,
-        aggregate=aggregate,
-        params=cfg.describe(),
-        input_state="two-qubit:" + ",".join(f"{a}" for a in psi),
-    )
+    label = "two-qubit:" + ",".join(f"{a}" for a in psi)
+    return FidelityReport(*_teleport(psi, cfg), cfg.describe(), label)
 
 
 def entanglement_swap(

@@ -8,6 +8,7 @@ import pytest
 
 from ionsim import cli
 from ionsim.motional import ModeParams
+from ionsim.protocol import TeleportConfig
 
 TELEPORT_SCRIPT = "pulse ions=2,3\npulse ions=1,2\nmeasure ions=1,2\n"
 
@@ -266,6 +267,16 @@ class TestInvalidInputs:
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
+        + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)],
+    )
+    def test_config_error_names_field(self, field, value):
+        # trap-B and stretch-mode fields reach the library only, not the CLI
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            TeleportConfig(**{field: value})
 
 
 class TestJsonStdout:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ionsim.protocol import (
     entanglement_teleport,
     measure_and_condition,
     prepare_channel,
+    score_outcomes,
     teleport_fidelity,
 )
 
@@ -262,6 +264,13 @@ class TestTeleportFidelity:
             ]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_average_warns_about_truncation_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            teleport_fidelity("average", TeleportConfig(nbar=0.5, cutoff=2, cutoff_r=2))
+        truncation = [w for w in caught if "thermal truncation" in str(w.message)]
+        assert len(truncation) == 1 and truncation[0].category is UserWarning
+
     def test_average_matches_cardinal_mean(self):
         cfg = TeleportConfig(nbar=0.1, eta=0.2, epsilon=0.02)
         avg = teleport_fidelity("average", cfg).aggregate
@@ -392,3 +401,65 @@ class TestCorrectionClosedForm:
         got = correct_ion3(outcome, rho, nbar_b, eta_b, epsilon)
         expected = per_level_correction(outcome, rho, nbar_b, eta_b, epsilon)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def register_report(initial, ideal, cfg, pair, n_qubits):
+    """Analyzer pulse, measurement and scoring of one thermal register run."""
+    register = [
+        SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
+        for n, n_r, w in cfg.thermal().sectors()
+    ]
+    register = analyzer_pulse(register, cfg.analyzer_pulse_spec(), cfg.modes(), pair, n_qubits)
+    return score_outcomes(measure_and_condition(register, pair, n_qubits), ideal, cfg)
+
+
+def single_input_oracle(v, cfg):
+    """Direct 3-ion run: input on ion 1, channel on ions 2 and 3."""
+    initial = linalg.tensor(v, channel_target_state(cfg.phases.phi_b))
+    return register_report(initial, linalg.projector(v), cfg, (0, 1), 3)
+
+
+def six_state_oracle(cfg):
+    """One 3-ion run per cardinal input, re-weighted per outcome."""
+    singles = [single_input_oracle(q.vector, cfg) for q in CARDINAL_STATES.values()]
+    probs = {o: sum(s[0][o] for s in singles) / len(singles) for o in OUTCOMES}
+    weighted = {o: sum(s[0][o] * s[1][o] for s in singles) / len(singles) for o in OUTCOMES}
+    fids = {o: weighted[o] / probs[o] if probs[o] > 0 else 0.0 for o in OUTCOMES}
+    return probs, fids, sum(weighted.values())
+
+
+def two_ion_oracle(psi, cfg):
+    """Direct 4-ion run: input on ions 1 and 2, channel on ions 3 and 4."""
+    initial = linalg.tensor(psi, channel_target_state(cfg.phases.phi_b))
+    return register_report(initial, linalg.projector(psi), cfg, (1, 2), 4)
+
+
+class TestBellChannelRun:
+    """Every teleport report equals the per-input register runs it replaces."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nbar=st.floats(0.0, 3.0),
+        eta=st.floats(0.05, 0.3),
+        epsilon=st.floats(-0.1, 0.1),
+        nbar_b=st.floats(0.0, 3.0),
+        eta_b=st.floats(0.05, 0.3),
+        k=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_per_input_runs(self, nbar, eta, epsilon, nbar_b, eta_b, k, seed):
+        cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, nbar_b=nbar_b, eta_b=eta_b, k=k)
+        q = random_qubit(seed)
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        cases = [
+            (teleport_fidelity("average", cfg), six_state_oracle(cfg)),
+            (teleport_fidelity(q, cfg), single_input_oracle(q.vector, cfg)),
+            (entanglement_teleport(psi, cfg), two_ion_oracle(psi, cfg)),
+        ]
+        for report, (probs, fids, aggregate) in cases:
+            for o in OUTCOMES:
+                assert abs(report.outcome_probs[o] - probs[o]) <= 1e-12
+                assert abs(report.outcome_fidelities[o] - fids[o]) <= 1e-12
+            assert abs(report.aggregate - aggregate) <= 1e-12
