@@ -50,21 +50,23 @@ DEFAULTS = {
     "grid": None,
 }
 
-_CASTS = {
-    "eta": float,
-    "eta_r": float,
-    "nbar": str,
-    "eps": float,
-    "k": int,
-    "phi": float,
-    "phi0": float,
-    "cutoff": int,
-    "tail_tol": float,
-    "input_state": str,
-    "format": str,
-    "out": str,
-    "seed": int,
-    "grid": str,
+#: Every option: its argparse settings, whose ``type`` also casts config-file values.
+_FLAGS = {
+    "eta": dict(type=float, help="CM Lamb-Dicke parameter"),
+    "eta_r": dict(type=float, dest="eta_r", help="relative-mode Lamb-Dicke parameter"),
+    "nbar": dict(type=str, help="CM mean occupation (comma list for channel-fidelity)"),
+    "eps": dict(type=float, help="pulse-area imprecision factor"),
+    "k": dict(type=int, help="sideband order"),
+    "phi": dict(type=float, help="Raman phase (both traps)"),
+    "phi0": dict(type=float, help="equilibrium-separation phase"),
+    "grid": dict(type=str, help="grid spec, e.g. nbar=0:0.2:20,eta=0.05:0.25:20"),
+    "cutoff": dict(type=int, help="Fock cutoff override (both modes)"),
+    "tail_tol": dict(type=float, dest="tail_tol", help="thermal tail tolerance"),
+    "input_state": dict(type=str, dest="input_state",
+                        help="input state: average, z+/z-/x+/x-/y+/y-, or alpha,beta"),
+    "format": dict(type=str, choices=["csv", "json"], help="output format"),
+    "out": dict(type=str, help="output path (default stdout)"),
+    "seed": dict(type=int, help="seed for the demo outcome sampler"),
 }
 
 
@@ -96,27 +98,26 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CASTS:
+        if key not in _FLAGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def resolve_options(
-    args: argparse.Namespace, keys: list[str], overrides: dict | None = None
-) -> dict:
-    """Apply precedence: command line > config file > built-in default."""
+def resolve_options(args: argparse.Namespace, overrides: dict | None = None) -> dict:
+    """The options the subcommand of ``args`` takes, by precedence: command
+    line > config file > built-in default."""
     from_file: dict[str, str] = {}
     if getattr(args, "config", None):
         from_file = parse_config_file(args.config)
     defaults = {**DEFAULTS, **(overrides or {})}
     out = {}
-    for key in keys:
+    for key in (name for name in _FLAGS if hasattr(args, name)):
         given = getattr(args, key, None)
         if given is not None:
             out[key] = given
         elif key in from_file:
-            out[key] = _CASTS[key](from_file[key])
+            out[key] = _FLAGS[key]["type"](from_file[key])
         else:
             out[key] = defaults.get(key)
     if out.get("format", "csv") not in ("csv", "json"):
@@ -184,9 +185,7 @@ def _parse_grid(spec: str, expect: dict[str, tuple]) -> dict:
 
 
 def cmd_rabi_surface(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args, ["eta", "eta_r", "k", "grid", "format", "out"], overrides={"eta": 0.15}
-    )
+    opts = resolve_options(args, overrides={"eta": 0.15})
     modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
     grid = _parse_grid(opts["grid"] or "", {"n": ("int", list(range(26))), "nr": ("int", list(range(26)))})
     k = opts["k"]
@@ -220,11 +219,7 @@ def _teleport_config(opts: dict, **point) -> TeleportConfig:
 
 
 def cmd_channel_fidelity(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args,
-        ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "cutoff", "tail_tol", "format", "out"],
-        overrides={"nbar": "0.2,1,5"},
-    )
+    opts = resolve_options(args, overrides={"nbar": "0.2,1,5"})
     configs = [_teleport_config(opts, nbar=v) for v in str(opts["nbar"]).split(",")]
     rows = [
         {"nbar": cfg.nbar, "nbar_r": cfg.nbar_r,
@@ -260,11 +255,7 @@ def _json_only(opts: dict) -> bool:
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args,
-        ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "cutoff", "tail_tol",
-         "input_state", "format", "out", "seed"],
-    )
+    opts = resolve_options(args)
     report = protocol.teleport_fidelity(opts["input_state"], _teleport_config(opts))
     payload = json.dumps(_plain(report.to_dict()), indent=2, sort_keys=True) + "\n"
     if _json_only(opts):
@@ -282,10 +273,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def cmd_fidelity_surface(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args,
-        ["eta_r", "eps", "phi", "phi0", "tail_tol", "cutoff", "grid", "input_state", "format", "out"],
-    )
+    opts = resolve_options(args)
     grid = _parse_grid(
         opts["grid"] or "",
         {
@@ -307,13 +295,9 @@ def cmd_fidelity_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_swap(args: argparse.Namespace) -> int:
-    opts = resolve_options(
-        args, ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "tail_tol", "cutoff", "format", "out"]
-    )
+    opts = resolve_options(args)
     cfg = _teleport_config(opts)
-    # a cold trap takes the Lamb-Dicke-limit pulse
-    thermal, modes = (cfg.thermal(), cfg.modes()) if cfg.nbar > 0 else (None, None)
-    outcomes = protocol.entanglement_swap(cfg.analyzer_pulse_spec(), cfg.phases, thermal, modes)
+    outcomes = protocol.entanglement_swap(cfg.analyzer_pulse_spec(), cfg.phases, cfg.thermal(), cfg.modes())
     rows = [
         {"outcome": oc.label, "probability": oc.probability, "herald": oc.herald, "fidelity": oc.fidelity}
         for oc in outcomes
@@ -332,7 +316,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
 
 
 def cmd_run_script(args: argparse.Namespace) -> int:
-    opts = resolve_options(args, ["eps", "phi", "phi0", "input_state", "format", "out"])
+    opts = resolve_options(args)
     cfg = _teleport_config(opts)
     script = parse_pulse_script(Path(args.script).read_text())
     max_ion = 0
@@ -410,25 +394,8 @@ def cmd_run_script(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, names: list[str]) -> None:
-    flags = {
-        "eta": dict(type=float, help="CM Lamb-Dicke parameter"),
-        "eta_r": dict(type=float, dest="eta_r", help="relative-mode Lamb-Dicke parameter"),
-        "nbar": dict(type=str, help="CM mean occupation (comma list for channel-fidelity)"),
-        "eps": dict(type=float, help="pulse-area imprecision factor"),
-        "k": dict(type=int, help="sideband order"),
-        "phi": dict(type=float, help="Raman phase (both traps)"),
-        "phi0": dict(type=float, help="equilibrium-separation phase"),
-        "grid": dict(type=str, help="grid spec, e.g. nbar=0:0.2:20,eta=0.05:0.25:20"),
-        "cutoff": dict(type=int, help="Fock cutoff override (both modes)"),
-        "tail_tol": dict(type=float, dest="tail_tol", help="thermal tail tolerance"),
-        "input_state": dict(type=str, dest="input_state",
-                            help="input state: average, z+/z-/x+/x-/y+/y-, or alpha,beta"),
-        "format": dict(type=str, choices=["csv", "json"], help="output format"),
-        "out": dict(type=str, help="output path (default stdout)"),
-        "seed": dict(type=int, help="seed for the demo outcome sampler"),
-    }
     for name in names:
-        sub.add_argument(f"--{name.replace('_', '-')}", default=None, **flags[name])
+        sub.add_argument(f"--{name.replace('_', '-')}", default=None, **_FLAGS[name])
     sub.add_argument("--config", default=None, help="flat key=value config file")
 
 

@@ -83,8 +83,9 @@ class SectorState:
             raise ValueError("sector weight must be nonnegative")
 
 
-def _signed_omega(k: int, omega: float) -> float:
-    return -omega if k % 2 else omega
+def drive_sign(k: int) -> float:
+    """The (-1)**k sign of the two-photon drive strength of the k-th sideband."""
+    return -1.0 if k % 2 else 1.0
 
 
 def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
@@ -92,7 +93,7 @@ def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
     double-flip raising/lowering with phase 2*phi, flip-flop exchange with
     phase phi0, and the self-energy shift, the last two weighted by (-1)**k.
     """
-    sgn = -1.0 if k % 2 else 1.0
+    sgn = drive_sign(k)
     e = sgn * np.eye(4, dtype=complex)
     e[UP_UP, DOWN_DOWN] = np.exp(2j * phi)
     e[DOWN_DOWN, UP_UP] = np.exp(-2j * phi)
@@ -109,9 +110,8 @@ def sector_unitary(k: int, phi: float, phi0: float, omega: float, t: float) -> n
     parity blocks never mix, and the self-energy term contributes only the
     sector-global phase in front.
     """
-    w = _signed_omega(k, omega)
-    a = w * t
-    sgn = -1.0 if k % 2 else 1.0
+    sgn = drive_sign(k)
+    a = sgn * omega * t
     c = math.cos(a)
     s = math.sin(a)
     u = np.zeros((4, 4), dtype=complex)
@@ -137,9 +137,11 @@ def sector_evolve(
 
 
 def ld_pulse_unitary(k: int, phi: float, phi0: float, theta: float) -> np.ndarray:
-    """Pulse unitary in the Lamb-Dicke limit, where every sector mixes by the
-    same angle ``theta`` (the pulse area, imprecision included)."""
-    return sector_unitary(k, phi, phi0, _signed_omega(k, 1.0), theta)
+    """Pulse unitary in the Lamb-Dicke limit: every sector mixes as (0, 0)
+    does, by the area ``theta`` (imprecision included) and with the sign of
+    its bracket -k! f_k(0, 0)**2 < 0. At small eta only k = 1 mixes all
+    sectors alike; for k >= 2 the bracket grows with n."""
+    return sector_unitary(k, phi, phi0, -1.0, theta)
 
 
 def build_heff(
@@ -162,7 +164,7 @@ def build_heff(
         raise ValueError("Fock cutoff must be at least the sideband order")
     if cutoff_r is None:
         cutoff_r = cutoff
-    sgn = -1.0 if k % 2 else 1.0
+    sgn = drive_sign(k)
     diag = np.array(
         [
             sgn * rabi_frequency(k, n, n_r, p)

@@ -7,22 +7,21 @@ measurement of ions 2 and 3 on Phi+(ions 1, 2) x channel(ions 3, 4) leave the
 Choi state of each outcome channel, which every input contracts on ion 1.
 
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
-with d ordered before u. A pi/4 double-sideband pulse on ions prepared in
-|dd> yields (|dd> - i exp(2i phi_B) |uu>)/sqrt(2); with the default phases
-phi0 = -pi/2 and phi_A = phi_B = pi - phi0/2 that channel is Phi+ and the
-analyzer pulse maps the four standard Bell states onto the four product
-states, so single-ion readout distinguishes them all.
+with d ordered before u. The correction and the swap herald of every
+outcome are read off the same run at ideal pulses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
-from .dynamics import PAULI, PulseSpec, SectorState, ld_pulse_unitary, sector_unitary
+from .dynamics import PAULI, PulseSpec, SectorState, drive_sign, ld_pulse_unitary, sector_unitary
 from .motional import (
     ModeParams,
     TAIL_TOL_DEFAULT,
@@ -36,12 +35,6 @@ from .motional import (
     NU_RATIO_DEFAULT,
 )
 from .register import EMPTY_PROB, OUTCOMES, apply, split_pair
-
-#: Conditional correction applied to the receiving ion per outcome.
-CORRECTION_AXES = {"dd": "z", "du": "y", "ud": "x", "uu": None}
-
-#: Bell pair heralded on ions 1 and 4 per outcome on ions 2 and 3.
-SWAP_HERALDS = {"uu": "phi+", "dd": "phi-", "ud": "psi+", "du": "psi-"}
 
 DEFAULT_PHI0 = -math.pi / 2
 
@@ -143,13 +136,14 @@ class TeleportConfig:
     nu_ratio: float = NU_RATIO_DEFAULT
     phases: PhaseConfig = field(default_factory=PhaseConfig)
     k: int = 1
-    area: float = math.pi / 4
     tail_tol: float = TAIL_TOL_DEFAULT
     cutoff: int | None = None
     cutoff_r: int | None = None
     cutoff_b: int | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not 0 <= self.nbar < math.inf:
             raise ValueError(f"nbar must be finite and nonnegative, got {self.nbar!r}")
         if not abs(self.epsilon) < 1:
@@ -189,7 +183,6 @@ class TeleportConfig:
             phi=self.phases.phi_a,
             phi0=self.phases.phi0_a,
             k=self.k,
-            area=self.area,
             epsilon=self.epsilon,
         )
 
@@ -205,7 +198,7 @@ class TeleportConfig:
             "eta_b": self.eta_b,
             "epsilon": self.epsilon,
             "k": self.k,
-            "area": self.area,
+            "area": math.pi / 4,
             "phi_a": self.phases.phi_a,
             "phi_b": self.phases.phi_b,
             "phi0_a": self.phases.phi0_a,
@@ -263,13 +256,12 @@ class FidelityReport:
         }
 
 
-def channel_target_state(phi_b: float) -> np.ndarray:
-    """Bell channel produced by an exact pi/4 pulse on |dd>:
-    (|dd> - i exp(2i phi_b) |uu>)/sqrt(2)."""
-    out = np.zeros(4, dtype=complex)
-    out[0] = 1 / _SQ2
-    out[3] = -1j * np.exp(2j * phi_b) / _SQ2
-    return out
+def channel_target_state(k: int, phi: float) -> np.ndarray:
+    """Bell channel made from |dd> by an exact pi/4 pulse of sideband order
+    ``k`` and phase ``phi`` in the Lamb-Dicke limit, with its |dd> amplitude
+    made positive: (|dd> + i drive_sign(k) exp(2i phi) |uu>)/sqrt(2)."""
+    column = ld_pulse_unitary(k, phi, 0.0, math.pi / 4)[:, 0]
+    return column * (abs(column[0]) / column[0])
 
 
 def prepare_channel(
@@ -291,21 +283,17 @@ def prepare_channel(
 
 
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:
-    """Overlap of the thermally prepared channel with the ideal Bell state,
-    by the closed form F = sum_nnr P(n,n_r) (1 + sin(2 x_nnr))/2 with
-    x_nnr the signed mixing angle realized in the sector.
-
-    The signed angle carries the (-1)**k drive sign; on grids where every
-    sector frequency is positive this reduces to the familiar form with
-    |Omega| in the sine.
-    """
-    sgn = -1.0 if pulse.k % 2 else 1.0
+    """Overlap of the thermally prepared channel with ``channel_target_state``
+    by the closed form F = sum_nnr P(n,n_r) (1 + s sin(2 x_nnr))/2, with x_nnr
+    the signed mixing angle realized in the sector and s = -drive_sign(k) the
+    sign of the ideal one (see ``ld_pulse_unitary``)."""
+    sgn = drive_sign(pulse.k)
     omega_ref = rabi_frequency(pulse.k, *pulse.reference, modes)
     t = pulse.duration(omega_ref)
     total = 0.0
     for n, n_r, w in thermal.sectors():
         x = sgn * rabi_frequency(pulse.k, n, n_r, modes) * t
-        total += w * 0.5 * (1.0 + math.sin(2.0 * x))
+        total += w * 0.5 * (1.0 - sgn * math.sin(2.0 * x))
     return total
 
 
@@ -314,7 +302,7 @@ def channel_fidelity_pipeline(
 ) -> float:
     """Same fidelity through the general route: prepare every sector, then
     project the mixture onto the ideal channel state."""
-    target = channel_target_state(pulse.phi)
+    target = channel_target_state(pulse.k, pulse.phi)
     total = 0.0
     for sector in prepare_channel(thermal, pulse, modes):
         total += sector.weight * abs(np.vdot(target, sector.amplitudes)) ** 2
@@ -373,8 +361,51 @@ def _outcome_states(posteriors: np.ndarray) -> list[OutcomeState]:
     return out
 
 
+def _ideal_run(k: int, phases: PhaseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell-pair run at exact pi/4 pulses in the Lamb-Dicke limit: trap
+    B's channel C (2x2) of ions 3, 4 and trap A's analyzer U of ions 2, 3.
+    Row o of U, as A_o[i, j] = <o|U|i j>, gives the ideal branch map
+    K_o = (A_o C)^T from ion 2 to ion 4 and the pair sum_ij A_o[i, j] |i j>/2
+    that a swap of Phi+ x Phi+ heralds on ions 1, 4."""
+    channel = channel_target_state(k, phases.phi_b).reshape(2, 2)
+    return channel, ld_pulse_unitary(k, phases.phi_a, phases.phi0_a, math.pi / 4)
+
+
+@lru_cache(maxsize=32)
+def correction_axes(k: int, phases: PhaseConfig) -> MappingProxyType[str, str | None]:
+    """Pauli axis (None for no pulse) of largest |Tr(sigma K_o)| per outcome:
+    odd k gives dd z, du y, ud x, uu None and even k swaps x and y. Raises
+    ValueError where a corrected ideal branch falls short of fidelity 1."""
+    channel, analyzer = _ideal_run(k, phases)
+    axes = {}
+    for o, row in zip(OUTCOMES, analyzer):
+        kmap = (row.reshape(2, 2) @ channel).T
+        overlap = {axis: abs(np.trace(sigma @ kmap)) for axis, sigma in {None: np.eye(2), **PAULI}.items()}
+        axes[o] = max(overlap, key=overlap.get)
+        # entanglement fidelity of the corrected ideal branch
+        fidelity = overlap[axes[o]] ** 2 / (2 * np.vdot(kmap, kmap).real)
+        if not fidelity >= 1 - 1e-12:
+            raise ValueError(f"outcome {o} has no Pauli correction at k={k} and {phases} (best "
+                             f"fidelity {fidelity:.6f}): teleportation is not reliable there")
+    return MappingProxyType(axes)
+
+
+@lru_cache(maxsize=32)
+def swap_heralds(k: int, phases: PhaseConfig) -> MappingProxyType[str, tuple[str, np.ndarray]]:
+    """Name and state of the pair each outcome heralds in an ideal swap: the
+    normalised branch, named after the ``BELL_STATES`` entry it equals up to
+    a global phase, or 'other'."""
+    analyzer = _ideal_run(k, phases)[1]
+    analyzer.flags.writeable = False  # its rows are the cached herald states
+    heralds = {}
+    for o, row in zip(OUTCOMES, analyzer):
+        names = (b for b, bell in BELL_STATES.items() if abs(np.vdot(bell, row)) ** 2 > 1 - 1e-12)
+        heralds[o] = (next(names, "other"), row)
+    return MappingProxyType(heralds)
+
+
 def correct_ion3(
-    outcome: str,
+    axis: str | None,
     state: np.ndarray,
     nbar_b: float,
     eta_b: float,
@@ -386,8 +417,8 @@ def correct_ion3(
     the posterior ``state``, mixed over the thermal occupation of its host
     trap.
 
-    Outcome 'uu' needs no pulse and therefore introduces no error; the others
-    get a pi rotation about z, x or y whose angle per Fock level n,
+    ``axis`` None needs no pulse and therefore introduces no error; 'x', 'y'
+    or 'z' gives a pi rotation about that axis whose angle per Fock level n,
     theta_n = pi (1 + epsilon) L_n(eta_b^2), carries the carrier Debye-Waller
     factor and the area imprecision. With R_n = c_n I - i s_n sigma,
     c_n = cos(theta_n/2) and s_n = sin(theta_n/2), the thermal mixture
@@ -396,9 +427,8 @@ def correct_ion3(
     with A = sum_n w_n c_n^2, B = sum_n w_n s_n^2 and C = sum_n w_n c_n s_n,
     so no per-level matrix product is formed.
     """
-    if outcome not in CORRECTION_AXES:
-        raise ValueError(f"unknown outcome {outcome!r}")
-    axis = CORRECTION_AXES[outcome]
+    if axis is not None and axis not in PAULI:
+        raise ValueError(f"unknown correction axis {axis!r}")
     rho = np.array(state, dtype=complex)
     if axis is None:
         return rho
@@ -419,9 +449,10 @@ def score_outcomes(
     outcomes: list[OutcomeState], ideal: np.ndarray, cfg: TeleportConfig
 ) -> tuple[dict[str, float], dict[str, float], float]:
     """Correct the last qubit of every measurement branch with trap B of
-    ``cfg`` and score it against ``ideal``. Returns per-outcome
-    probabilities, fidelities (0 for an empty branch) and their aggregate
-    sum_o p_o F_o."""
+    ``cfg``, about the axis ``correction_axes`` derives for the outcome, and
+    score it against ``ideal``. Returns per-outcome probabilities, fidelities
+    (0 for an empty branch) and their aggregate sum_o p_o F_o."""
+    axes = correction_axes(cfg.k, cfg.phases)
     probs: dict[str, float] = {}
     fids: dict[str, float] = {}
     aggregate = 0.0
@@ -431,7 +462,7 @@ def score_outcomes(
             fids[oc.label] = 0.0
             continue
         corrected = correct_ion3(
-            oc.label, oc.state, cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol
+            axes[oc.label], oc.state, cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol
         )
         fids[oc.label] = linalg.fidelity(ideal, corrected)
         aggregate += oc.probability * fids[oc.label]
@@ -446,7 +477,7 @@ def _bell_channel(cfg: TeleportConfig) -> np.ndarray:
     J_o is the Choi state of the uncorrected channel E_o from the input ion
     to the receiving ion.
     """
-    initial = linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.phases.phi_b))
+    initial = linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
     register = [
         SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
         for n, n_r, w in cfg.thermal().sectors()
@@ -521,10 +552,10 @@ def entanglement_swap(
     """Swap entanglement between two Bell pairs by analyzing ions 2 and 3.
 
     Starting from Phi+ on ions 1,2 and Phi+ on ions 3,4, the pulse on ions
-    2,3 followed by their measurement heralds ions 1,4 in the Bell state
-    uu -> Phi+, dd -> Phi-, ud -> Psi+, du -> Psi-. Without a thermal
-    distribution the pulse acts in the Lamb-Dicke limit; with one, every
-    Fock sector of the trap hosting ions 2 and 3 is mixed in.
+    2,3 and their measurement herald on ions 1,4 the pair that ``swap_heralds``
+    derives for the pulse, which scores the branch. Without a thermal
+    distribution the pulse acts in the Lamb-Dicke limit; with one, every Fock
+    sector of the trap hosting ions 2 and 3 is mixed in.
     """
     if phases is None:
         phases = PhaseConfig()
@@ -544,13 +575,13 @@ def entanglement_swap(
             for n, n_r, w in thermal.sectors()
         ]
         register = analyzer_pulse(register, pulse, modes, pair=(1, 2), n_qubits=4)
-    outcomes = measure_and_condition(register, pair=(1, 2), n_qubits=4)
+    heralds = swap_heralds(pulse.k, replace(phases, phi_a=pulse.phi, phi0_a=pulse.phi0))
     results = []
-    for oc in outcomes:
-        herald = SWAP_HERALDS[oc.label]
+    for oc in measure_and_condition(register, pair=(1, 2), n_qubits=4):
+        herald, target = heralds[oc.label]
         if oc.empty:
             results.append(SwapOutcome(oc.label, 0.0, np.zeros((4, 4), complex), herald, 0.0))
             continue
-        f = linalg.fidelity(linalg.projector(BELL_STATES[herald]), oc.state)
+        f = linalg.fidelity(linalg.projector(target), oc.state)
         results.append(SwapOutcome(oc.label, oc.probability, oc.state, herald, f))
     return results

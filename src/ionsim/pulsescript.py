@@ -7,9 +7,9 @@ Grammar, one statement per line, ``#`` starting a comment:
     measure ions=<i,j>
 
 Ion numbers are 1-based. Execution models the electronic register only:
-pulses act in the Lamb-Dicke limit (every motional sector mixes by the
-stated area) and rotations on the motional ground state, so a script is a
-pulse-algebra check rather than a thermal simulation. A measurement splits
+pulses act in the Lamb-Dicke limit (every sector mixes as the ground sector,
+which only k = 1 nears at small eta) and rotations on the motional ground
+state, so a script is a pulse-algebra check rather than a thermal simulation. A measurement splits
 the run into its four outcome branches; later statements apply per branch.
 """
 

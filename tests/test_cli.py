@@ -142,14 +142,6 @@ class TestFidelitySurface:
         assert all(float(r["fidelity"]) > 0.97 for r in rows)
         assert meta["eps"] == "0.0"
 
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ["fidelity-surface", "--grid", "nbar=0:0.15:2,eta=0.1:0.2:2"]
-        monkeypatch.setenv("IONSIM_THREADS", "1")
-        _, serial, _ = run_cli(args, capsys)
-        monkeypatch.setenv("IONSIM_THREADS", "4")
-        _, threaded, _ = run_cli(args, capsys)
-        assert serial == threaded
-
 
 class TestSwap:
     def test_ideal_report(self, capsys):
@@ -261,7 +253,7 @@ class TestInvalidInputs:
         "argv",
         [[command, "--nbar", nbar] for command in ("teleport", "channel-fidelity", "swap")
          for nbar in ("nan", "inf", "-1")]
-        + [["teleport", "--input-state", "nan,1"]],
+        + [["teleport", "--input-state", "nan,1"], ["teleport", "--k", "0"]],
     )
     def test_one_line_error(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -271,10 +263,12 @@ class TestInvalidInputs:
     @pytest.mark.parametrize(
         "field, value",
         [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
-        + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)],
+        + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)]
+        + [("k", v) for v in (0, -1, 1.5, True)],
     )
     def test_config_error_names_field(self, field, value):
-        # trap-B and stretch-mode fields reach the library only, not the CLI
+        # trap-B and stretch-mode fields reach the library only, not the CLI;
+        # k must be a whole sideband order of at least 1
         with pytest.raises(ValueError, match=rf"^{field} must"):
             TeleportConfig(**{field: value})
 

@@ -203,6 +203,20 @@ class TestLambDickeHamiltonian:
         u2 = ld_pulse_unitary(1, 0.8, -0.3, math.pi / 2)
         assert np.max(np.abs(u4 @ u4 - u2)) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("eta", [0.05, 0.2, 0.6])
+    def test_ground_bracket_is_negative(self, k, eta):
+        assert rabi_frequency(k, 0, 0, ModeParams(eta=eta)) < 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_thermal_pulse_in_ground_sector(self, k):
+        # the calibrated ground-sector pulse of the thermal path
+        pulse = PulseSpec(phi=0.8, phi0=-0.3, k=k, epsilon=0.03)
+        omega = rabi_frequency(k, 0, 0, MODES)
+        thermal = sector_unitary(k, pulse.phi, pulse.phi0, omega, pulse.duration(omega))
+        ld = ld_pulse_unitary(k, pulse.phi, pulse.phi0, 1.03 * math.pi / 4)
+        assert np.max(np.abs(ld - thermal)) < 1e-12
+
 
 class TestCarrierRotation:
     def test_zero_angle(self):

@@ -22,11 +22,13 @@ from ionsim.protocol import (
     channel_fidelity_pipeline,
     channel_target_state,
     correct_ion3,
+    correction_axes,
     entanglement_swap,
     entanglement_teleport,
     measure_and_condition,
     prepare_channel,
     score_outcomes,
+    swap_heralds,
     teleport_fidelity,
 )
 
@@ -89,7 +91,7 @@ class TestPrepareChannel:
         assert len(sectors) == 1
         amps = sectors[0].amplitudes
         phase = amps[0] / abs(amps[0])
-        assert np.max(np.abs(amps / phase - channel_target_state(PHASES.phi_b))) < 1e-12
+        assert np.max(np.abs(amps / phase - channel_target_state(1, PHASES.phi_b))) < 1e-12
         assert channel_fidelity(thermal, bell_pulse(), MODES) == pytest.approx(1.0, abs=1e-12)
 
     def test_hot_sector_rotation_angle_scales_with_rabi_ratio(self):
@@ -127,12 +129,32 @@ class TestChannelFidelity:
         assert abs(closed - piped) < 1e-9
 
 
+class TestChannelFidelityAnyK:
+    """The closed form scores the channel that ``channel_target_state`` derives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ideal_channel_is_exact(self, k):
+        pulse = PulseSpec(phi=PHASES.phi_b, phi0=PHASES.phi0_b, k=k)
+        assert channel_fidelity(thermal_for(0.0), pulse, MODES) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.0, 3.0), st.floats(0.05, 0.3), st.floats(-0.1, 0.1),
+           st.floats(-math.pi, math.pi))
+    def test_closed_form_matches_pipeline(self, k, nbar, eta, eps, phi):
+        modes = ModeParams(eta=eta)
+        thermal = thermal_for(nbar)
+        pulse = PulseSpec(phi=phi, phi0=-0.7, k=k, epsilon=eps)
+        closed = channel_fidelity(thermal, pulse, modes)
+        piped = channel_fidelity_pipeline(thermal, pulse, modes)
+        assert abs(closed - piped) <= 1e-12
+
+
 class TestAnalyzerPulse:
     def _ideal_register(self, q):
         return [
             SectorState(
                 n=0, n_r=0, weight=1.0,
-                amplitudes=linalg.tensor(q.vector, channel_target_state(PHASES.phi_b)),
+                amplitudes=linalg.tensor(q.vector, channel_target_state(1, PHASES.phi_b)),
             )
         ]
 
@@ -174,7 +196,7 @@ class TestMeasureAndCondition:
         reg = [
             SectorState(
                 n=n, n_r=n_r, weight=w,
-                amplitudes=linalg.tensor(q.vector, channel_target_state(PHASES.phi_b)),
+                amplitudes=linalg.tensor(q.vector, channel_target_state(1, PHASES.phi_b)),
             )
             for n, n_r, w in thermal.sectors()
         ]
@@ -212,19 +234,19 @@ class TestMeasureAndCondition:
 class TestCorrectIon3:
     def test_uu_outcome_untouched(self):
         rho = linalg.projector(random_qubit(41).vector)
-        out = correct_ion3("uu", rho, nbar_b=0.5, eta_b=0.2, epsilon=0.1)
+        out = correct_ion3(None, rho, nbar_b=0.5, eta_b=0.2, epsilon=0.1)
         assert np.array_equal(out, rho)
 
     def test_dd_outcome_exact_in_ground_state(self):
         q = random_qubit(42)
         flipped = linalg.projector(np.array([q.alpha, -q.beta], dtype=complex))
-        out = correct_ion3("dd", flipped, nbar_b=0.0, eta_b=0.2, epsilon=0.0)
+        out = correct_ion3("z", flipped, nbar_b=0.0, eta_b=0.2, epsilon=0.0)
         assert linalg.fidelity(linalg.projector(q.vector), out) == pytest.approx(1.0, abs=1e-12)
 
     def test_ud_outcome_with_thermal_and_imprecision(self):
         q = random_qubit(43)
         swapped = linalg.projector(np.array([q.beta, q.alpha], dtype=complex))
-        out = correct_ion3("ud", swapped, nbar_b=0.2, eta_b=0.2, epsilon=0.05)
+        out = correct_ion3("x", swapped, nbar_b=0.2, eta_b=0.2, epsilon=0.05)
         f = linalg.fidelity(linalg.projector(q.vector), out)
         assert 0.97 < f < 1.0
 
@@ -308,6 +330,64 @@ class TestEntanglementSwap:
         assert np.max(np.abs(direct - recombined)) < 1e-15
 
 
+class TestDerivedTables:
+    """Corrections and swap heralds are read off the ideal Bell-pair run."""
+
+    ODD = {"dd": "z", "du": "y", "ud": "x", "uu": None}
+    EVEN = {"dd": "z", "du": "x", "ud": "y", "uu": None}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_corrections_at_default_phases(self, k):
+        assert correction_axes(k, PHASES) == (self.ODD if k % 2 else self.EVEN)
+
+    @pytest.mark.parametrize(
+        "k, names",
+        [(1, {"dd": "phi-", "du": "psi-", "ud": "psi+", "uu": "phi+"}),
+         (2, {"dd": "phi+", "du": "psi-", "ud": "psi+", "uu": "phi-"})],
+    )
+    def test_heralds_at_default_phases(self, k, names):
+        heralds = swap_heralds(k, PHASES)
+        assert {o: name for o, (name, _) in heralds.items()} == names
+        for name, state in heralds.values():
+            assert abs(np.vdot(BELL_STATES[name], state)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_heralds_off_the_bell_basis_are_other(self):
+        heralds = swap_heralds(1, PhaseConfig(phi0_a=0.3))
+        assert {name for name, _ in heralds.values()} == {"other"}
+
+    def test_unreliable_phases_raise(self):
+        phases = PhaseConfig(phi_a=0.5, phi_b=0.5)
+        with pytest.raises(ValueError, match=r"outcome \w\w has no Pauli correction at k=1 and PhaseConfig\(.*phi_a=0.5"):
+            correction_axes(1, phases)
+        with pytest.raises(ValueError, match="not reliable"):
+            teleport_fidelity("average", TeleportConfig(phases=phases))
+
+
+class TestReliableForAnyK:
+    """At ideal pulses every branch is exact for k = 1..4 and any shared phi0
+    with phi_A = phi_B = pi - phi0/2."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 4), phi0=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**31))
+    def test_ideal_branches_are_exact(self, k, phi0, seed):
+        phases = PhaseConfig(phi0_a=phi0)
+        cfg = TeleportConfig(nbar=0.0, epsilon=0.0, k=k, phases=phases)
+        for report in (teleport_fidelity("average", cfg), teleport_fidelity(random_qubit(seed), cfg)):
+            for o in OUTCOMES:
+                assert report.outcome_probs[o] == pytest.approx(0.25, abs=1e-12)
+                assert report.outcome_fidelities[o] == pytest.approx(1.0, abs=1e-12)
+        pulse = cfg.analyzer_pulse_spec()
+        ld = entanglement_swap(pulse, phases)
+        thermal = entanglement_swap(pulse, phases, thermal_for(0.0), MODES)
+        for a, b in zip(ld, thermal):
+            assert a.fidelity == pytest.approx(1.0, abs=1e-12)
+            assert b.fidelity == pytest.approx(1.0, abs=1e-12)
+            assert (a.label, a.herald) == (b.label, b.herald)
+            assert abs(a.probability - b.probability) <= 1e-12
+            assert abs(a.fidelity - b.fidelity) <= 1e-12
+            assert np.max(np.abs(a.state - b.state)) <= 1e-12
+
+
 class TestEntanglementTeleport:
     def test_bell_input_ideal(self):
         cfg = TeleportConfig(nbar=0.0)
@@ -346,7 +426,7 @@ class TestEntanglementTeleport:
 
         # direct 16-dim oracle: exponential pulse on ions 2,3 then projective
         # measurement and an over-rotated correction on ion 4
-        initial = np.kron(psi, channel_target_state(PHASES.phi_b))
+        initial = np.kron(psi, channel_target_state(1, PHASES.phi_b))
         h = np.kron(np.kron(np.eye(2), build_ld_hamiltonian(PHASES.phi_a, PHASES.phi0_a)), np.eye(2))
         state = scipy.linalg.expm(-1j * h * (1 + eps) * math.pi / 4) @ initial
         t = state.reshape(2, 2, 2, 2)
@@ -398,7 +478,7 @@ class TestCorrectionClosedForm:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho)
-        got = correct_ion3(outcome, rho, nbar_b, eta_b, epsilon)
+        got = correct_ion3({"dd": "z", "du": "y", "ud": "x"}[outcome], rho, nbar_b, eta_b, epsilon)
         expected = per_level_correction(outcome, rho, nbar_b, eta_b, epsilon)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -415,7 +495,7 @@ def register_report(initial, ideal, cfg, pair, n_qubits):
 
 def single_input_oracle(v, cfg):
     """Direct 3-ion run: input on ion 1, channel on ions 2 and 3."""
-    initial = linalg.tensor(v, channel_target_state(cfg.phases.phi_b))
+    initial = linalg.tensor(v, channel_target_state(cfg.k, cfg.phases.phi_b))
     return register_report(initial, linalg.projector(v), cfg, (0, 1), 3)
 
 
@@ -430,7 +510,7 @@ def six_state_oracle(cfg):
 
 def two_ion_oracle(psi, cfg):
     """Direct 4-ion run: input on ions 1 and 2, channel on ions 3 and 4."""
-    initial = linalg.tensor(psi, channel_target_state(cfg.phases.phi_b))
+    initial = linalg.tensor(psi, channel_target_state(cfg.k, cfg.phases.phi_b))
     return register_report(initial, linalg.projector(psi), cfg, (1, 2), 4)
 
 

@@ -97,7 +97,7 @@ class TestExecutor:
         result = execute_script(script, 3, self._ground_register(q), PHASES)
         amps = result.branches[0].amplitudes.reshape(2, 4)[0]
         phase = amps[0] / abs(amps[0])
-        assert np.max(np.abs(amps / phase - channel_target_state(PHASES.phi_b))) < 1e-12
+        assert np.max(np.abs(amps / phase - channel_target_state(1, PHASES.phi_b))) < 1e-12
 
     def test_rotation_flips_basis_state(self):
         script = parse_pulse_script("rotate ion=1 axis=x angle=3.141592653589793")
