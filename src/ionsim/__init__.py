@@ -19,7 +19,6 @@ from .motional import (
 )
 from .dynamics import (
     PulseSpec,
-    SectorState,
     build_heff,
     build_ld_hamiltonian,
     carrier_rotation,
@@ -59,7 +58,6 @@ __all__ = [
     "PulseScript",
     "PulseSpec",
     "ScriptError",
-    "SectorState",
     "TeleportConfig",
     "ThermalSpec",
     "analyzer_pulse",

@@ -3,8 +3,9 @@
 A simultaneous red/blue Raman pair drives, per Fock sector (n, n_r), a pair
 of two-level ions with an effective Hamiltonian that is diagonal in the
 motional labels. Evolution therefore factors into independent 4-dimensional
-electronic problems, solved here in closed form; the full truncated-space
-Hamiltonian is also built for verification by direct matrix exponential.
+electronic problems, solved here in closed form for one sector or for an
+array of sectors at once; the full truncated-space Hamiltonian is also built
+for verification by direct matrix exponential.
 
 Electronic basis ordering for the pulsed pair is |dd>, |du>, |ud>, |uu>,
 with d the lower level and ion order matching tensor order.
@@ -18,6 +19,7 @@ unitaries here include it, so positive times evolve forward.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -41,7 +43,7 @@ class PulseSpec:
 
     ``area`` is the target pulse area |Omega_ref| * t in radians; the actual
     duration is (1 + epsilon) * area / |Omega_ref| with the reference Rabi
-    factor taken at the Fock sector ``reference``.
+    factor taken at the ground sector (0, 0).
     """
 
     phi: float
@@ -49,11 +51,10 @@ class PulseSpec:
     k: int = 1
     area: float = math.pi / 4
     epsilon: float = 0.0
-    reference: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("sideband order must be nonnegative")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not self.area > 0:
             raise ValueError("pulse area must be positive")
         if not self.epsilon > -1:
@@ -64,23 +65,6 @@ class PulseSpec:
         if omega_ref == 0:
             raise ValueError("reference Rabi frequency is zero")
         return (1.0 + self.epsilon) * self.area / abs(omega_ref)
-
-
-@dataclass(frozen=True, eq=False)
-class SectorState:
-    """Electronic pure state attached to one motional Fock sector.
-
-    ``n`` and ``n_r`` label the modes of the trap hosting the pulsed pair.
-    """
-
-    n: int
-    n_r: int
-    weight: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("sector weight must be nonnegative")
 
 
 def drive_sign(k: int) -> float:
@@ -102,26 +86,28 @@ def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
     return e
 
 
-def sector_unitary(k: int, phi: float, phi0: float, omega: float, t: float) -> np.ndarray:
+def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:
     """Closed-form 4x4 evolution of one Fock sector for a raw duration ``t``.
 
     ``omega`` is the scaled sideband bracket from ``rabi_frequency``; the
-    (-1)**k drive sign is applied internally. The |dd>,|uu> and |du>,|ud>
-    parity blocks never mix, and the self-energy term contributes only the
-    sector-global phase in front.
+    (-1)**k drive sign is applied internally. A NumPy array of brackets, one
+    per sector, gives the stack of unitaries, of shape omega.shape + (4, 4). The
+    |dd>,|uu> and |du>,|ud> parity blocks never mix, and the self-energy term
+    contributes only the sector-global phase in front.
     """
     sgn = drive_sign(k)
     a = sgn * omega * t
-    c = math.cos(a)
-    s = math.sin(a)
-    u = np.zeros((4, 4), dtype=complex)
-    u[DOWN_DOWN, DOWN_DOWN] = u[UP_UP, UP_UP] = c
-    u[UP_UP, DOWN_DOWN] = -1j * s * np.exp(2j * phi)
-    u[DOWN_DOWN, UP_UP] = -1j * s * np.exp(-2j * phi)
-    u[DOWN_UP, DOWN_UP] = u[UP_DOWN, UP_DOWN] = c
-    u[UP_DOWN, DOWN_UP] = -1j * sgn * s * np.exp(1j * phi0)
-    u[DOWN_UP, UP_DOWN] = -1j * sgn * s * np.exp(-1j * phi0)
-    return np.exp(-1j * sgn * a) * u
+    phase = np.exp(-1j * sgn * a)
+    diag, flip = phase * np.cos(a), phase * np.sin(a) * -1j
+    u = np.zeros(diag.shape + (4, 4), dtype=complex)
+    cols = u.T  # cols[j, i] is the entry <i|U|j> of every sector
+    cols[DOWN_DOWN, DOWN_DOWN] = cols[UP_UP, UP_UP] = diag
+    cols[DOWN_UP, DOWN_UP] = cols[UP_DOWN, UP_DOWN] = diag
+    cols[DOWN_DOWN, UP_UP] = flip * cmath.exp(2j * phi)
+    cols[UP_UP, DOWN_DOWN] = flip * cmath.exp(-2j * phi)
+    cols[DOWN_UP, UP_DOWN] = flip * (sgn * cmath.exp(1j * phi0))
+    cols[UP_DOWN, DOWN_UP] = flip * (sgn * cmath.exp(-1j * phi0))
+    return u
 
 
 def sector_evolve(

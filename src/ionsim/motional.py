@@ -147,7 +147,9 @@ class ThermalSpec:
     """Truncated two-mode thermal distribution over Fock labels (n, n_r).
 
     ``weights[n, n_r]`` is renormalized to total mass one; ``tail_mass``
-    records the probability discarded by the truncation.
+    records the probability discarded by the truncation. Per-sector arrays
+    follow ``weights.ravel()``, row-major in (n, n_r): sector (n, n_r) is
+    entry n*(cutoff_r+1) + n_r.
     """
 
     nbar: float
@@ -163,12 +165,6 @@ class ThermalSpec:
         total = float(self.weights.sum())
         if abs(total - 1.0) > 1e-14:
             raise ValueError(f"thermal weights sum to {total!r}, expected 1")
-
-    def sectors(self):
-        """Iterate (n, n_r, weight) in fixed row-major order."""
-        for n in range(self.cutoff + 1):
-            for n_r in range(self.cutoff_r + 1):
-                yield n, n_r, float(self.weights[n, n_r])
 
 
 def thermal_distribution(

@@ -6,6 +6,13 @@ Every teleport report comes from one Bell-pair channel run: the analyzer and
 measurement of ions 2 and 3 on Phi+(ions 1, 2) x channel(ions 3, 4) leave the
 Choi state of each outcome channel, which every input contracts on ion 1.
 
+A thermal register is a set of arrays over the S sectors of
+``ThermalSpec.weights.ravel()``: one initial register shared by all sectors,
+the (S, 4, 4) sector pulse unitaries and the S weights. A pulse is one
+``register.apply`` and a measurement one weighted einsum. Teleport reports
+and both swaps run the same pulse-and-measure pair run; the Lamb-Dicke swap
+runs it with one unitary of weight 1.
+
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
 with d ordered before u. The correction and the swap herald of every
 outcome are read off the same run at ideal pulses.
@@ -21,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .dynamics import PAULI, PulseSpec, SectorState, drive_sign, ld_pulse_unitary, sector_unitary
+from .dynamics import PAULI, PulseSpec, drive_sign, ld_pulse_unitary, sector_unitary
 from .motional import (
     ModeParams,
     TAIL_TOL_DEFAULT,
@@ -256,30 +263,39 @@ class FidelityReport:
         }
 
 
+@lru_cache(maxsize=32)
 def channel_target_state(k: int, phi: float) -> np.ndarray:
     """Bell channel made from |dd> by an exact pi/4 pulse of sideband order
     ``k`` and phase ``phi`` in the Lamb-Dicke limit, with its |dd> amplitude
-    made positive: (|dd> + i drive_sign(k) exp(2i phi) |uu>)/sqrt(2)."""
+    made positive: (|dd> + i drive_sign(k) exp(2i phi) |uu>)/sqrt(2). The
+    array is cached and read-only."""
     column = ld_pulse_unitary(k, phi, 0.0, math.pi / 4)[:, 0]
-    return column * (abs(column[0]) / column[0])
+    state = column * (abs(column[0]) / column[0])
+    state.flags.writeable = False
+    return state
 
 
-def prepare_channel(
-    thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams
-) -> list[SectorState]:
-    """Drive both ions from |dd> with one pulse in every thermal Fock sector.
+def _sector_rabi(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> tuple[np.ndarray, float]:
+    """Rabi factor of every thermal sector in the order of
+    ``thermal.weights.ravel()`` (entry n*(cutoff_r+1) + n_r is sector
+    (n, n_r)), and the pulse duration calibrated on the ground sector, entry 0."""
+    omega = np.array([rabi_frequency(pulse.k, n, n_r, modes) for n, n_r in np.ndindex(thermal.weights.shape)])
+    return omega, pulse.duration(omega[0])
+
+
+def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
+    """The (S, 4, 4) pulse unitaries of the S thermal sectors."""
+    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *_sector_rabi(thermal, pulse, modes))
+
+
+def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
+    """Drive both ions from |dd> with one pulse in every thermal Fock sector:
+    the (S, 4) amplitudes, one row per sector of ``thermal.weights.ravel()``.
 
     The |du>, |ud> amplitudes stay exactly zero: the double-sideband drive
     preserves the electronic parity blocks.
     """
-    omega_ref = rabi_frequency(pulse.k, *pulse.reference, modes)
-    t = pulse.duration(omega_ref)
-    ground = np.array([1, 0, 0, 0], dtype=complex)
-    out = []
-    for n, n_r, w in thermal.sectors():
-        u = sector_unitary(pulse.k, pulse.phi, pulse.phi0, rabi_frequency(pulse.k, n, n_r, modes), t)
-        out.append(SectorState(n=n, n_r=n_r, weight=w, amplitudes=u @ ground))
-    return out
+    return _sector_unitaries(thermal, pulse, modes)[:, :, 0]
 
 
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:
@@ -288,13 +304,9 @@ def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) 
     the signed mixing angle realized in the sector and s = -drive_sign(k) the
     sign of the ideal one (see ``ld_pulse_unitary``)."""
     sgn = drive_sign(pulse.k)
-    omega_ref = rabi_frequency(pulse.k, *pulse.reference, modes)
-    t = pulse.duration(omega_ref)
-    total = 0.0
-    for n, n_r, w in thermal.sectors():
-        x = sgn * rabi_frequency(pulse.k, n, n_r, modes) * t
-        total += w * 0.5 * (1.0 - sgn * math.sin(2.0 * x))
-    return total
+    omega, t = _sector_rabi(thermal, pulse, modes)
+    x = sgn * omega * t
+    return float(thermal.weights.ravel() @ (0.5 * (1.0 - sgn * np.sin(2.0 * x))))
 
 
 def channel_fidelity_pipeline(
@@ -302,50 +314,43 @@ def channel_fidelity_pipeline(
 ) -> float:
     """Same fidelity through the general route: prepare every sector, then
     project the mixture onto the ideal channel state."""
-    target = channel_target_state(pulse.k, pulse.phi)
-    total = 0.0
-    for sector in prepare_channel(thermal, pulse, modes):
-        total += sector.weight * abs(np.vdot(target, sector.amplitudes)) ** 2
-    return total
+    overlaps = prepare_channel(thermal, pulse, modes) @ channel_target_state(pulse.k, pulse.phi).conj()
+    return float(thermal.weights.ravel() @ np.abs(overlaps) ** 2)
 
 
 def analyzer_pulse(
-    register: list[SectorState],
+    register: np.ndarray,
+    thermal: ThermalSpec,
     pulse: PulseSpec,
     modes: ModeParams,
     pair: tuple[int, int] = (0, 1),
     n_qubits: int = 3,
-) -> list[SectorState]:
-    """Apply the disentangling pulse to ions ``pair`` of every sector of a
-    register, with the full (n, n_r) dependence of the sideband drive."""
-    omega_ref = rabi_frequency(pulse.k, *pulse.reference, modes)
-    t = pulse.duration(omega_ref)
-    out = []
-    for s in register:
-        u = sector_unitary(pulse.k, pulse.phi, pulse.phi0, rabi_frequency(pulse.k, s.n, s.n_r, modes), t)
-        out.append(replace(s, amplitudes=apply(u, s.amplitudes, pair, n_qubits)))
-    return out
+) -> np.ndarray:
+    """Apply the disentangling pulse to ions ``pair`` of the register shared
+    by every thermal sector, with the full (n, n_r) dependence of the
+    sideband drive: the (S, 2**n_qubits) registers of the S sectors."""
+    return apply(_sector_unitaries(thermal, pulse, modes), register, pair, n_qubits)
 
 
 def measure_and_condition(
-    register: list[SectorState],
+    register: np.ndarray,
+    weights: np.ndarray,
     pair: tuple[int, int] = (0, 1),
     n_qubits: int = 3,
 ) -> list[OutcomeState]:
-    """Measure ions ``pair`` in the energy basis over the whole sector
-    mixture.
+    """Measure ions ``pair`` in the energy basis over the (S, 2**n_qubits)
+    sector registers mixed with the S ``weights``.
 
     Returns the four outcomes in fixed order, each with its probability and
     the posterior density operator of the unmeasured ions; an outcome of zero
     probability is flagged empty rather than raising.
     """
-    return _outcome_states(_posteriors(register, pair, n_qubits))
+    return _outcome_states(_posteriors(register, weights, pair, n_qubits))
 
 
-def _posteriors(register: list[SectorState], pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+def _posteriors(register: np.ndarray, weights: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
     """Unnormalised posteriors of the unmeasured ions, in ``OUTCOMES`` order."""
-    weights = np.array([s.weight for s in register])
-    branches = np.array([split_pair(s.amplitudes, pair, n_qubits) for s in register])
+    branches = split_pair(register, pair, n_qubits)
     return np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
 
 
@@ -469,21 +474,31 @@ def score_outcomes(
     return probs, fids, aggregate
 
 
+def _pair_run(
+    initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec | None, modes: ModeParams | None
+) -> np.ndarray:
+    """Pulse ions 2 and 3 of the 4-ion register ``initial`` and measure them:
+    the posteriors of ions 1 and 4 mixed over the thermal sectors, a
+    (4, 4, 4) array in ``OUTCOMES`` order of trace p_o. Without ``thermal``
+    the pulse acts in the Lamb-Dicke limit, as one sector of weight 1."""
+    if thermal is None:
+        u = ld_pulse_unitary(pulse.k, pulse.phi, pulse.phi0, (1 + pulse.epsilon) * pulse.area)
+        register, weights = apply(u, initial, (1, 2), 4)[None], np.ones(1)
+    else:
+        register = analyzer_pulse(initial, thermal, pulse, modes, (1, 2), 4)
+        weights = thermal.weights.ravel()
+    return _posteriors(register, weights, (1, 2), 4)
+
+
 def _bell_channel(cfg: TeleportConfig) -> np.ndarray:
-    """Probability-weighted posteriors J_o of ions 1 and 4, a (4, 4, 4) array
-    in ``OUTCOMES`` order, from the analyzer pulse and measurement of ions 2
-    and 3 on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction.
+    """Probability-weighted posteriors J_o of ions 1 and 4 from the pair run
+    on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction.
 
     J_o is the Choi state of the uncorrected channel E_o from the input ion
     to the receiving ion.
     """
     initial = linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
-    register = [
-        SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
-        for n, n_r, w in cfg.thermal().sectors()
-    ]
-    register = analyzer_pulse(register, cfg.analyzer_pulse_spec(), cfg.modes(), pair=(1, 2), n_qubits=4)
-    return _posteriors(register, pair=(1, 2), n_qubits=4)
+    return _pair_run(initial, cfg.analyzer_pulse_spec(), cfg.thermal(), cfg.modes())
 
 
 def _teleport(
@@ -561,23 +576,13 @@ def entanglement_swap(
         phases = PhaseConfig()
     if pulse is None:
         pulse = PulseSpec(phi=phases.phi_a, phi0=phases.phi0_a)
+    if thermal is not None and modes is None:
+        raise ValueError("thermal swap requires mode parameters")
     initial = linalg.tensor(BELL_STATES["phi+"], BELL_STATES["phi+"])
-    if thermal is None:
-        u = ld_pulse_unitary(pulse.k, pulse.phi, pulse.phi0, (1 + pulse.epsilon) * pulse.area)
-        register = [
-            SectorState(n=0, n_r=0, weight=1.0, amplitudes=apply(u, initial, (1, 2), 4))
-        ]
-    else:
-        if modes is None:
-            raise ValueError("thermal swap requires mode parameters")
-        register = [
-            SectorState(n=n, n_r=n_r, weight=w, amplitudes=initial)
-            for n, n_r, w in thermal.sectors()
-        ]
-        register = analyzer_pulse(register, pulse, modes, pair=(1, 2), n_qubits=4)
+    outcomes = _outcome_states(_pair_run(initial, pulse, thermal, modes))
     heralds = swap_heralds(pulse.k, replace(phases, phi_a=pulse.phi, phi0_a=pulse.phi0))
     results = []
-    for oc in measure_and_condition(register, pair=(1, 2), n_qubits=4):
+    for oc in outcomes:
         herald, target = heralds[oc.label]
         if oc.empty:
             results.append(SwapOutcome(oc.label, 0.0, np.zeros((4, 4), complex), herald, 0.0))

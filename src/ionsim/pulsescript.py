@@ -103,6 +103,13 @@ def _parse_float(value: str, name: str, line: int, col: int) -> float:
         raise ScriptError(f"{name} expects a number, got {value!r}", line, col) from None
 
 
+def _option(values: dict[str, tuple[str, int]], key: str, parse, default, line: int):
+    if key not in values:
+        return default
+    value, col = values[key]
+    return parse(value, key, line, col)
+
+
 def _parse_ion_pair(value: str, keyword: str, line: int, col: int) -> tuple[int, int]:
     parts = value.split(",")
     if len(parts) != 2:
@@ -148,22 +155,17 @@ def parse_pulse_script(text: str) -> PulseScript:
         if keyword == "pulse":
             ions_val, ions_col = values["ions"]
             ions = _parse_ion_pair(ions_val, "pulse", lineno, ions_col)
+            k = _option(values, "k", _parse_int, 1, lineno)
+            if k < 1:
+                raise ScriptError("k must be an integer >= 1", lineno, values["k"][1])
             statements.append(
                 PulseStatement(
                     ions=ions,
-                    k=_parse_int(values["k"][0], "k", lineno, values["k"][1]) if "k" in values else 1,
-                    area=_parse_float(values["area"][0], "area", lineno, values["area"][1])
-                    if "area" in values
-                    else math.pi / 4,
-                    phi=_parse_float(values["phi"][0], "phi", lineno, values["phi"][1])
-                    if "phi" in values
-                    else None,
-                    phi0=_parse_float(values["phi0"][0], "phi0", lineno, values["phi0"][1])
-                    if "phi0" in values
-                    else None,
-                    eps=_parse_float(values["eps"][0], "eps", lineno, values["eps"][1])
-                    if "eps" in values
-                    else 0.0,
+                    k=k,
+                    area=_option(values, "area", _parse_float, math.pi / 4, lineno),
+                    phi=_option(values, "phi", _parse_float, None, lineno),
+                    phi0=_option(values, "phi0", _parse_float, None, lineno),
+                    eps=_option(values, "eps", _parse_float, 0.0, lineno),
                     line=lineno,
                 )
             )
@@ -176,9 +178,7 @@ def parse_pulse_script(text: str) -> PulseScript:
                     ion=_parse_int(values["ion"][0], "ion", lineno, values["ion"][1]),
                     axis=axis,
                     angle=_parse_float(values["angle"][0], "angle", lineno, values["angle"][1]),
-                    eps=_parse_float(values["eps"][0], "eps", lineno, values["eps"][1])
-                    if "eps" in values
-                    else 0.0,
+                    eps=_option(values, "eps", _parse_float, 0.0, lineno),
                     line=lineno,
                 )
             )

@@ -52,9 +52,12 @@ def apply(op: np.ndarray, amps: np.ndarray, qubits: tuple[int, ...], n_qubits: i
 
 def split_pair(amps: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
     """Unnormalised remaining-ion vectors, one row per outcome of measuring
-    ``pair`` in ``OUTCOMES`` order, as a (4, 2**(n-2)) array that may share
-    memory with ``amps``."""
-    return _front(amps, pair, n_qubits)
+    ``pair`` in ``OUTCOMES`` order, as a (..., 4, 2**(n-2)) array that may
+    share memory with ``amps``; leading axes of independent registers are
+    kept."""
+    lead = amps.shape[:-1]
+    t = amps.reshape(lead + (2,) * n_qubits).transpose(_axes(pair, n_qubits, len(lead))[0])
+    return t.reshape(lead + (4, -1))
 
 
 def collapse_pair(

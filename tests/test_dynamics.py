@@ -65,6 +65,28 @@ class TestSectorUnitary:
         ref = scipy.linalg.expm(-1j * pair_hamiltonian_oracle(k, phi, phi0, omega) * t)
         assert np.max(np.abs(u - ref)) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+        st.floats(-0.1, 0.1), st.integers(0, 2**31),
+    )
+    def test_batch_matches_scalar_calls_and_full_oracle(self, k, phi, phi0, eps, seed):
+        pulse = PulseSpec(phi=phi, phi0=phi0, k=k, epsilon=eps)
+        omega = np.random.default_rng(seed).uniform(-1.5, 1.5, size=9)
+        t = pulse.duration(omega[0])
+        stacked = np.array([sector_unitary(k, phi, phi0, w, t) for w in omega])
+        assert np.max(np.abs(sector_unitary(k, phi, phi0, omega, t) - stacked)) <= 1e-15
+
+        cutoff, cutoff_r = 4, 2
+        omega = np.array([rabi_frequency(k, n, n_r, MODES)
+                          for n in range(cutoff + 1) for n_r in range(cutoff_r + 1)])
+        t = pulse.duration(omega[0])
+        n_sectors = len(omega)
+        h = build_heff(k, MODES, phi, phi0, cutoff=cutoff, cutoff_r=cutoff_r)
+        full = oracle_evolve(np.eye(4 * n_sectors), h, t).reshape(4, n_sectors, 4, n_sectors)
+        blocks = np.array([full[:, s, :, s] for s in range(n_sectors)])
+        assert np.max(np.abs(sector_unitary(k, phi, phi0, omega, t) - blocks)) <= 1e-12
+
     def test_parity_blocks_never_mix(self):
         u = sector_unitary(1, 0.7, 2.1, -0.95, 3.3)
         even = [0, 3]
@@ -117,6 +139,11 @@ class TestSectorEvolve:
         pulse = PulseSpec(phi=0.0, phi0=0.0)
         with pytest.raises(ValueError, match="reference Rabi"):
             sector_evolve(np.array([1, 0, 0, 0], dtype=complex), pulse, -0.9, 0.0)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_pulse_spec_rejects_order_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            PulseSpec(phi=0.0, phi0=0.0, k=k)
 
     def test_pulse_spec_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from ionsim import protocol
+from ionsim.dynamics import PulseSpec
 from ionsim.motional import (
     ModeParams,
     cutoff_for,
@@ -189,10 +191,18 @@ class TestThermalDistribution:
         assert np.all(np.diff(w, axis=0) <= 1e-18)
         assert np.all(np.diff(w, axis=1) <= 1e-18)
 
-    def test_sector_iteration_order(self):
-        spec = thermal_distribution(0.5, 0.1, cutoff=1, cutoff_r=1, tail_tol=0.999)
-        labels = [(n, n_r) for n, n_r, _ in spec.sectors()]
-        assert labels == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    def test_sector_order_is_weights_ravel(self):
+        # entry n*(cutoff_r+1) + n_r of the Rabi factors and of the weights
+        # belongs to sector (n, n_r)
+        spec = thermal_distribution(0.5, 0.1, cutoff=3, cutoff_r=2, tail_tol=0.999)
+        weights = spec.weights.ravel()
+        for k in (1, 2, 3):
+            omega, _ = protocol._sector_rabi(spec, PulseSpec(phi=0.0, phi0=0.0, k=k), MODES)
+            assert omega.shape == weights.shape == (12,)
+            for n in range(4):
+                for n_r in range(3):
+                    assert omega[n * 3 + n_r] == rabi_frequency(k, n, n_r, MODES)
+                    assert weights[n * 3 + n_r] == spec.weights[n, n_r]
 
 
 def test_thermal_weights_raw_mass():

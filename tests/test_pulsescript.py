@@ -71,6 +71,12 @@ class TestParser:
         with pytest.raises(ScriptError, match="area expects a number"):
             parse_pulse_script("pulse ions=1,2 area=wide")
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_sideband_order_below_one(self, k):
+        with pytest.raises(ScriptError, match="k must be an integer >= 1") as err:
+            parse_pulse_script(f"pulse ions=1,2 k={k}")
+        assert (err.value.line, err.value.col) == (1, 16)
+
     def test_bad_axis(self):
         with pytest.raises(ScriptError, match="axis must be"):
             parse_pulse_script("rotate ion=1 axis=w angle=1.0")
