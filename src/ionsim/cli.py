@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg, protocol
-from .motional import ModeParams, rabi_frequency
+from .motional import ModeParams, rabi_grid
 from .protocol import InputQubit, OutcomeState, PhaseConfig, TeleportConfig
 from .register import OUTCOMES, split_pair
 from .pulsescript import (
@@ -188,13 +188,9 @@ def cmd_rabi_surface(args: argparse.Namespace) -> int:
     opts = resolve_options(args, overrides={"eta": 0.15})
     modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
     grid = _parse_grid(opts["grid"] or "", {"n": ("int", list(range(26))), "nr": ("int", list(range(26)))})
-    k = opts["k"]
-    rows = [
-        {"n": n, "n_r": nr, "rabi": rabi_frequency(k, n, nr, modes)}
-        for n in grid["n"]
-        for nr in grid["nr"]
-    ]
-    meta = {"command": "rabi-surface", "eta": modes.eta, "eta_r": modes.eta_r, "k": k,
+    rabi = rabi_grid(opts["k"], grid["n"][-1], grid["nr"][-1], modes).tolist()
+    rows = [{"n": n, "n_r": nr, "rabi": rabi[n][nr]} for n in grid["n"] for nr in grid["nr"]]
+    meta = {"command": "rabi-surface", "eta": modes.eta, "eta_r": modes.eta_r, "k": opts["k"],
             "n_range": f"{grid['n'][0]}..{grid['n'][-1]}", "nr_range": f"{grid['nr'][0]}..{grid['nr'][-1]}"}
     write_table(rows, ["n", "n_r", "rabi"], meta, opts["format"], opts["out"])
     return 0

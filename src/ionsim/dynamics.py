@@ -12,8 +12,8 @@ with d the lower level and ion order matching tensor order.
 
 Sign convention: the two-photon drive strength is proportional to
 (i*eta)**(2k)/delta and so carries a factor (-1)**k; with the pair detuned
-delta > 0 this sign multiplies the scaled sideband bracket returned by
-:func:`ionsim.motional.rabi_frequency`. All generators and closed-form
+delta > 0 this sign multiplies the scaled sideband brackets returned by
+:func:`ionsim.motional.rabi_grid`. All generators and closed-form
 unitaries here include it, so positive times evolve forward.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .motional import ModeParams, laguerre, rabi_frequency
+from .motional import ModeParams, laguerre, rabi_grid
 
 DOWN_DOWN, DOWN_UP, UP_DOWN, UP_UP = range(4)
 
@@ -89,11 +89,11 @@ def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
 def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:
     """Closed-form 4x4 evolution of one Fock sector for a raw duration ``t``.
 
-    ``omega`` is the scaled sideband bracket from ``rabi_frequency``; the
-    (-1)**k drive sign is applied internally. A NumPy array of brackets, one
-    per sector, gives the stack of unitaries, of shape omega.shape + (4, 4). The
-    |dd>,|uu> and |du>,|ud> parity blocks never mix, and the self-energy term
-    contributes only the sector-global phase in front.
+    ``omega`` is the sector's scaled sideband bracket, an entry of
+    ``rabi_grid``; the (-1)**k drive sign is applied internally. A NumPy array
+    of brackets, one per sector, gives the stack of unitaries, of shape
+    omega.shape + (4, 4). The |dd>,|uu> and |du>,|ud> parity blocks never mix,
+    and the self-energy term contributes only the sector-global phase in front.
     """
     sgn = drive_sign(k)
     a = sgn * omega * t
@@ -150,14 +150,7 @@ def build_heff(
         raise ValueError("Fock cutoff must be at least the sideband order")
     if cutoff_r is None:
         cutoff_r = cutoff
-    sgn = drive_sign(k)
-    diag = np.array(
-        [
-            sgn * rabi_frequency(k, n, n_r, p)
-            for n in range(cutoff + 1)
-            for n_r in range(cutoff_r + 1)
-        ]
-    )
+    diag = drive_sign(k) * rabi_grid(k, cutoff, cutoff_r, p).ravel()
     return linalg.tensor(_pair_generator(k, phi, phi0), np.diag(diag).astype(complex))
 
 

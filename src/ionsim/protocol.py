@@ -34,9 +34,9 @@ from .motional import (
     TAIL_TOL_DEFAULT,
     ThermalSpec,
     cutoff_for,
-    laguerre,
+    laguerre_table,
     matched_nbar_r,
-    rabi_frequency,
+    rabi_grid,
     thermal_distribution,
     thermal_weights,
     NU_RATIO_DEFAULT,
@@ -279,7 +279,7 @@ def _sector_rabi(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> t
     """Rabi factor of every thermal sector in the order of
     ``thermal.weights.ravel()`` (entry n*(cutoff_r+1) + n_r is sector
     (n, n_r)), and the pulse duration calibrated on the ground sector, entry 0."""
-    omega = np.array([rabi_frequency(pulse.k, n, n_r, modes) for n, n_r in np.ndindex(thermal.weights.shape)])
+    omega = rabi_grid(pulse.k, thermal.cutoff, thermal.cutoff_r, modes).ravel()
     return omega, pulse.duration(omega[0])
 
 
@@ -432,19 +432,27 @@ def correct_ion3(
     with A = sum_n w_n c_n^2, B = sum_n w_n s_n^2 and C = sum_n w_n c_n s_n,
     so no per-level matrix product is formed.
     """
+    return _rotate_ion3(axis, state, *_trap_b_sums(nbar_b, eta_b, epsilon, cutoff_b, tail_tol))
+
+
+def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int | None, tail_tol: float) -> tuple:
+    """The sums A, B, C of ``correct_ion3``, which do not depend on the outcome corrected."""
+    if cutoff_b is None:
+        cutoff_b = cutoff_for(nbar_b, tail_tol)
+    weights = thermal_weights(nbar_b, cutoff_b)
+    weights = weights / weights.sum()
+    theta = math.pi * (1.0 + epsilon) * laguerre_table(cutoff_b, 0, eta_b**2)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return weights @ (c * c), weights @ (s * s), weights @ (c * s)
+
+
+def _rotate_ion3(axis: str | None, state: np.ndarray, a: float, b: float, cs: float) -> np.ndarray:
+    """``correct_ion3`` given the trap-B sums A, B, C of ``_trap_b_sums``."""
     if axis is not None and axis not in PAULI:
         raise ValueError(f"unknown correction axis {axis!r}")
     rho = np.array(state, dtype=complex)
     if axis is None:
         return rho
-    if cutoff_b is None:
-        cutoff_b = cutoff_for(nbar_b, tail_tol)
-    weights = thermal_weights(nbar_b, cutoff_b)
-    weights = weights / weights.sum()
-    debye_waller = np.array([laguerre(n, 0, eta_b**2) for n in range(cutoff_b + 1)])
-    theta = math.pi * (1.0 + epsilon) * debye_waller
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    a, b, cs = weights @ (c * c), weights @ (s * s), weights @ (c * s)
     sigma = np.kron(np.eye(rho.shape[0] // 2), PAULI[axis])
     rho_sigma, sigma_rho = rho @ sigma, sigma @ rho
     return a * rho + b * (sigma @ rho_sigma) + 1j * cs * (rho_sigma - sigma_rho)
@@ -458,6 +466,7 @@ def score_outcomes(
     score it against ``ideal``. Returns per-outcome probabilities, fidelities
     (0 for an empty branch) and their aggregate sum_o p_o F_o."""
     axes = correction_axes(cfg.k, cfg.phases)
+    sums = _trap_b_sums(cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol)
     probs: dict[str, float] = {}
     fids: dict[str, float] = {}
     aggregate = 0.0
@@ -466,10 +475,7 @@ def score_outcomes(
         if oc.empty:
             fids[oc.label] = 0.0
             continue
-        corrected = correct_ion3(
-            axes[oc.label], oc.state, cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol
-        )
-        fids[oc.label] = linalg.fidelity(ideal, corrected)
+        fids[oc.label] = linalg.fidelity(ideal, _rotate_ion3(axes[oc.label], oc.state, *sums))
         aggregate += oc.probability * fids[oc.label]
     return probs, fids, aggregate
 

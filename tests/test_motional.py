@@ -17,6 +17,7 @@ from ionsim.motional import (
     laguerre,
     matched_nbar_r,
     rabi_frequency,
+    rabi_grid,
     thermal_distribution,
     thermal_weights,
 )
@@ -124,6 +125,30 @@ class TestRabiFrequency:
         value = rabi_frequency(k, n, n_r, ModeParams(eta=eta))
         assert math.isfinite(value)
         assert value != 0.0
+
+
+def rabi_grid_oracle(k, cutoff, cutoff_r, p):
+    """The bracket f_k^2(n-k, n_r) n!/(n-k)! - f_k^2(n, n_r) (n+k)!/n! at 50
+    digits, with f_k(n, n_r) = cm[n] * rel[n_r] the coupling factor."""
+    with mpmath.workdps(50):
+        eta2, eta_r2 = mpmath.mpf(p.eta) ** 2, mpmath.mpf(p.eta_r) ** 2
+        gauss = mpmath.exp(-(eta2 + eta_r2) / 2)
+        cm = [gauss * mpmath.factorial(n) / mpmath.factorial(n + k) * mpmath.laguerre(n, k, eta2)
+              for n in range(cutoff + 1)]
+        rel = [mpmath.laguerre(n_r, 0, eta_r2) for n_r in range(cutoff_r + 1)]
+        rising = [mpmath.factorial(n + k) / mpmath.factorial(n) for n in range(cutoff + 1)]
+        bracket = [(cm[n - k] ** 2 * rising[n - k] if n >= k else 0) - cm[n] ** 2 * rising[n]
+                   for n in range(cutoff + 1)]
+        return np.array([[float(b * r**2) for r in rel] for b in bracket])
+
+
+class TestRabiGrid:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eta", [0.05, 0.15, 0.3])
+    def test_matches_mpmath(self, k, eta):
+        p = ModeParams(eta=eta)
+        ref = rabi_grid_oracle(k, 80, 46, p)
+        assert np.max(np.abs(rabi_grid(k, 80, 46, p) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestMatchedNbarR:
