@@ -72,18 +72,26 @@ def drive_sign(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+def mixing_operator(k: int, phi: float, phi0: float) -> np.ndarray:
+    """The Hermitian part M of the sideband generator that flips the pair:
+    double-flip raising/lowering with phase 2*phi and flip-flop exchange with
+    phase phi0, the latter weighted by (-1)**k. M @ M is the identity, so the
+    pulse of a sector is exp(i theta) (cos a I - i sin a M) for its signed
+    mixing angle a (see ``sector_unitary``)."""
+    sgn = drive_sign(k)
+    m = np.zeros((4, 4), dtype=complex)
+    m[UP_UP, DOWN_DOWN] = np.exp(2j * phi)
+    m[DOWN_DOWN, UP_UP] = np.exp(-2j * phi)
+    m[UP_DOWN, DOWN_UP] = sgn * np.exp(1j * phi0)
+    m[DOWN_UP, UP_DOWN] = sgn * np.exp(-1j * phi0)
+    return m
+
+
 def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
     """Electronic part of the sideband Hamiltonian for unit vibrational factor:
-    double-flip raising/lowering with phase 2*phi, flip-flop exchange with
-    phase phi0, and the self-energy shift, the last two weighted by (-1)**k.
+    ``mixing_operator`` plus the self-energy shift (-1)**k I.
     """
-    sgn = drive_sign(k)
-    e = sgn * np.eye(4, dtype=complex)
-    e[UP_UP, DOWN_DOWN] = np.exp(2j * phi)
-    e[DOWN_DOWN, UP_UP] = np.exp(-2j * phi)
-    e[UP_DOWN, DOWN_UP] = sgn * np.exp(1j * phi0)
-    e[DOWN_UP, UP_DOWN] = sgn * np.exp(-1j * phi0)
-    return e
+    return drive_sign(k) * np.eye(4) + mixing_operator(k, phi, phi0)
 
 
 def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:

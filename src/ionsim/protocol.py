@@ -6,12 +6,18 @@ Every teleport report comes from one Bell-pair channel run: the analyzer and
 measurement of ions 2 and 3 on Phi+(ions 1, 2) x channel(ions 3, 4) leave the
 Choi state of each outcome channel, which every input contracts on ion 1.
 
-A thermal register is a set of arrays over the S sectors of
-``ThermalSpec.weights.ravel()``: one initial register shared by all sectors,
-the (S, 4, 4) sector pulse unitaries and the S weights. A pulse is one
-``register.apply`` and a measurement one weighted einsum. Teleport reports
-and both swaps run the same pulse-and-measure pair run; the Lamb-Dicke swap
-runs it with one unitary of weight 1.
+In every thermal sector the pulse is exp(i theta) (cos a I - i sin a M) with
+one fixed M (``dynamics.mixing_operator``) and the sector's signed mixing
+angle a, so trap A enters the channel fidelity and every teleport report
+only through the three thermal sums of cos^2 a, sin^2 a and cos a sin a
+(``_sector_moments``): O(S) float work for S sectors, against three fixed
+(4, 4, 4) contractions per (k, phases) (``_bell_terms``).
+
+The swaps still run the register route: a thermal register is a set of
+arrays over the S sectors of ``ThermalSpec.weights.ravel()``, one initial
+register shared by all sectors, the (S, 4, 4) sector pulse unitaries and the
+S weights. A pulse is one ``register.apply`` and a measurement one weighted
+einsum; the Lamb-Dicke swap runs it with one unitary of weight 1.
 
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
 with d ordered before u. The correction and the swap herald of every
@@ -28,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .dynamics import PAULI, PulseSpec, drive_sign, ld_pulse_unitary, sector_unitary
+from .dynamics import PAULI, PulseSpec, drive_sign, ld_pulse_unitary, mixing_operator, sector_unitary
 from .motional import (
     ModeParams,
     TAIL_TOL_DEFAULT,
@@ -62,6 +68,7 @@ class PhaseConfig:
     Unspecified fields resolve to a single shared phi0 with
     phi_A = phi_B = pi - phi0/2, the choice that turns the four analyzer
     branches into the identity and the three pi rotations of the input.
+    Every phase must be finite.
     """
 
     phi0_a: float = DEFAULT_PHI0
@@ -76,6 +83,10 @@ class PhaseConfig:
             object.__setattr__(self, "phi_a", math.pi - self.phi0_a / 2)
         if self.phi_b is None:
             object.__setattr__(self, "phi_b", math.pi - self.phi0_b / 2)
+        for name in ("phi0_a", "phi0_b", "phi_a", "phi_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -283,6 +294,16 @@ def _sector_rabi(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> t
     return omega, pulse.duration(omega[0])
 
 
+def _sector_moments(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
+    """The thermal sums (C_cc, C_ss, C_cs) = sum_s w_s (cos^2 a_s, sin^2 a_s,
+    cos a_s sin a_s) over the signed mixing angles a_s = drive_sign(k) Omega_s t
+    of the sectors, the angles of ``sector_unitary``."""
+    omega, t = _sector_rabi(thermal, pulse, modes)
+    a = drive_sign(pulse.k) * t * omega
+    c, s, w = np.cos(a), np.sin(a), thermal.weights.ravel()
+    return np.array([w @ (c * c), w @ (s * s), w @ (c * s)])
+
+
 def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
     """The (S, 4, 4) pulse unitaries of the S thermal sectors."""
     return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *_sector_rabi(thermal, pulse, modes))
@@ -300,13 +321,11 @@ def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -
 
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:
     """Overlap of the thermally prepared channel with ``channel_target_state``
-    by the closed form F = sum_nnr P(n,n_r) (1 + s sin(2 x_nnr))/2, with x_nnr
-    the signed mixing angle realized in the sector and s = -drive_sign(k) the
-    sign of the ideal one (see ``ld_pulse_unitary``)."""
-    sgn = drive_sign(pulse.k)
-    omega, t = _sector_rabi(thermal, pulse, modes)
-    x = sgn * omega * t
-    return float(thermal.weights.ravel() @ (0.5 * (1.0 - sgn * np.sin(2.0 * x))))
+    by the closed form F = sum_s w_s (1 + s sin(2 a_s))/2 = 1/2 + s C_cs, with
+    a_s the signed mixing angle realized in sector s, C_cs its moment of
+    ``_sector_moments`` and s = -drive_sign(k) the sign of the ideal angle
+    (see ``ld_pulse_unitary``)."""
+    return float(0.5 - drive_sign(pulse.k) * _sector_moments(thermal, pulse, modes)[2])
 
 
 def channel_fidelity_pipeline(
@@ -496,15 +515,38 @@ def _pair_run(
     return _posteriors(register, weights, (1, 2), 4)
 
 
+@lru_cache(maxsize=32)
+def _bell_terms(k: int, phases: PhaseConfig) -> np.ndarray:
+    """The three (4, 4, 4) contractions T0, T1, T2 of the Bell-pair run of
+    ``_bell_channel``, read-only and cached.
+
+    With B0 the outcome rows (``split_pair``) of psi0 = Phi+(ions 1, 2) x
+    channel(ions 3, 4) and B1 those of -i M psi0, M the ``mixing_operator``
+    of the analyzer on ions 2, 3, a sector of mixing angle a leaves the rows
+    cos a B0 + sin a B1 up to a phase, so T0 = B0 B0^+, T1 = B1 B1^+ and
+    T2 = B0 B1^+ + B1 B0^+ per outcome.
+    """
+    psi0 = linalg.tensor(BELL_STATES["phi+"], channel_target_state(k, phases.phi_b))
+    flip = -1j * mixing_operator(k, phases.phi_a, phases.phi0_a)
+    b = split_pair(np.stack([psi0, apply(flip, psi0, (1, 2), 4)]), (1, 2), 4)
+    outer = np.einsum("aoi,boj->aboij", b, b.conj())
+    terms = np.stack([outer[0, 0], outer[1, 1], outer[0, 1] + outer[1, 0]])
+    terms.flags.writeable = False
+    return terms
+
+
 def _bell_channel(cfg: TeleportConfig) -> np.ndarray:
     """Probability-weighted posteriors J_o of ions 1 and 4 from the pair run
-    on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction.
+    on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction, as
+    C_cc T0 + C_ss T1 + C_cs T2 from the ``_sector_moments`` of the analyzer
+    and the ``_bell_terms``; ``_pair_run`` on the same register is the
+    sector-by-sector reference.
 
     J_o is the Choi state of the uncorrected channel E_o from the input ion
     to the receiving ion.
     """
-    initial = linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
-    return _pair_run(initial, cfg.analyzer_pulse_spec(), cfg.thermal(), cfg.modes())
+    moments = _sector_moments(cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes())
+    return np.tensordot(moments, _bell_terms(cfg.k, cfg.phases), 1)
 
 
 def _teleport(

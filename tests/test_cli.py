@@ -8,7 +8,7 @@ import pytest
 
 from ionsim import cli
 from ionsim.motional import ModeParams
-from ionsim.protocol import TeleportConfig
+from ionsim.protocol import PhaseConfig, TeleportConfig
 
 TELEPORT_SCRIPT = "pulse ions=2,3\npulse ions=1,2\nmeasure ions=1,2\n"
 
@@ -253,7 +253,9 @@ class TestInvalidInputs:
         "argv",
         [[command, "--nbar", nbar] for command in ("teleport", "channel-fidelity", "swap")
          for nbar in ("nan", "inf", "-1")]
-        + [["teleport", "--input-state", "nan,1"], ["teleport", "--k", "0"]],
+        + [["teleport", "--input-state", "nan,1"], ["teleport", "--k", "0"]]
+        + [[command, flag, value] for command in ("teleport", "channel-fidelity", "swap")
+           for flag in ("--phi", "--phi0") for value in ("nan", "inf")],
     )
     def test_one_line_error(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -271,6 +273,14 @@ class TestInvalidInputs:
         # k must be a whole sideband order of at least 1
         with pytest.raises(ValueError, match=rf"^{field} must"):
             TeleportConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("phi0_a", "phi0_b", "phi_a", "phi_b") for v in (math.nan, math.inf, -math.inf)],
+    )
+    def test_phase_error_names_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            PhaseConfig(**{field: value})
 
 
 class TestJsonStdout:

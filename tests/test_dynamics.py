@@ -13,6 +13,7 @@ from ionsim.dynamics import (
     build_ld_hamiltonian,
     carrier_rotation,
     ld_pulse_unitary,
+    mixing_operator,
     oracle_evolve,
     sector_evolve,
     sector_unitary,
@@ -86,6 +87,20 @@ class TestSectorUnitary:
         full = oracle_evolve(np.eye(4 * n_sectors), h, t).reshape(4, n_sectors, 4, n_sectors)
         blocks = np.array([full[:, s, :, s] for s in range(n_sectors)])
         assert np.max(np.abs(sector_unitary(k, phi, phi0, omega, t) - blocks)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+        st.floats(-3.0, 3.0),
+    )
+    def test_is_phase_times_rotation_about_mixing_operator(self, k, phi, phi0, a):
+        # omega = drive_sign(k) a at t = 1 makes a the signed mixing angle
+        m = mixing_operator(k, phi, phi0)
+        assert np.array_equal(m, m.conj().T)
+        assert np.max(np.abs(m @ m - np.eye(4))) <= 1e-15
+        u = sector_unitary(k, phi, phi0, (-1) ** k * a, 1.0)
+        rotation = math.cos(a) * np.eye(4) - 1j * math.sin(a) * m
+        assert np.max(np.abs(u - np.exp(-1j * (-1) ** k * a) * rotation)) <= 1e-15
 
     def test_parity_blocks_never_mix(self):
         u = sector_unitary(1, 0.7, 2.1, -0.95, 3.3)

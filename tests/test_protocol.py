@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionsim import linalg
-from ionsim.dynamics import PulseSpec, build_ld_hamiltonian, carrier_rotation
+from ionsim.dynamics import PulseSpec, build_heff, build_ld_hamiltonian, carrier_rotation, oracle_evolve
 from ionsim.motional import ModeParams, rabi_frequency, thermal_distribution, cutoff_for, matched_nbar_r
 from ionsim.protocol import (
     BELL_STATES,
@@ -17,6 +18,9 @@ from ionsim.protocol import (
     OUTCOMES,
     PhaseConfig,
     TeleportConfig,
+    _bell_channel,
+    _bell_terms,
+    _pair_run,
     analyzer_pulse,
     channel_fidelity,
     channel_fidelity_pipeline,
@@ -36,8 +40,8 @@ MODES = ModeParams(eta=0.2)
 PHASES = PhaseConfig()
 
 
-def bell_pulse(epsilon=0.0, phases=PHASES):
-    return PulseSpec(phi=phases.phi_b, phi0=phases.phi0_b, epsilon=epsilon)
+def bell_pulse(epsilon=0.0, phases=PHASES, k=1):
+    return PulseSpec(phi=phases.phi_b, phi0=phases.phi0_b, k=k, epsilon=epsilon)
 
 
 def thermal_for(nbar, tail_tol=1e-6):
@@ -119,14 +123,14 @@ class TestChannelFidelity:
         assert f == pytest.approx(target, abs=tol)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.floats(0.0, 3.0), st.floats(0.05, 0.3), st.floats(-0.1, 0.1))
-    def test_closed_form_matches_pipeline(self, nbar, eta, eps):
+    @given(st.floats(0.0, 3.0), st.floats(0.05, 0.3), st.floats(-0.1, 0.1), st.integers(1, 4))
+    def test_closed_form_matches_pipeline(self, nbar, eta, eps, k):
         modes = ModeParams(eta=eta)
         thermal = thermal_for(nbar)
-        pulse = bell_pulse(epsilon=eps)
+        pulse = bell_pulse(epsilon=eps, k=k)
         closed = channel_fidelity(thermal, pulse, modes)
         piped = channel_fidelity_pipeline(thermal, pulse, modes)
-        assert abs(closed - piped) < 1e-9
+        assert abs(closed - piped) <= 1e-12
 
 
 class TestChannelFidelityAnyK:
@@ -328,6 +332,9 @@ class TestDerivedTables:
         state = channel_target_state(1, PHASES.phi_b)
         assert state is channel_target_state(1, PHASES.phi_b)
         assert not state.flags.writeable
+        terms = _bell_terms(1, PHASES)
+        assert terms is _bell_terms(1, PHASES)
+        assert not terms.flags.writeable
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_corrections_at_default_phases(self, k):
@@ -533,3 +540,64 @@ class TestBellChannelRun:
                 assert abs(report.outcome_probs[o] - probs[o]) <= 1e-12
                 assert abs(report.outcome_fidelities[o] - fids[o]) <= 1e-12
             assert abs(report.aggregate - aggregate) <= 1e-12
+
+
+def bell_pair_initial(cfg):
+    """Phi+ on ions 1, 2 and the channel of ``cfg`` on ions 3, 4."""
+    return linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
+
+
+def oracle_bell_channel(cfg):
+    """The Bell-pair run by one dense matrix exponential of the analyzer's
+    full Hamiltonian on ions 2, 3 and both trap-A modes, traced over the
+    motion: the posteriors of ions 1, 4 in ``OUTCOMES`` order."""
+    thermal, pulse, modes = cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes()
+    n_sectors = thermal.weights.size
+    h = build_heff(cfg.k, modes, pulse.phi, pulse.phi0, cfg.cutoff, cfg.cutoff_r)
+    t = pulse.duration(rabi_frequency(cfg.k, 0, 0, modes))
+    # rows: level of ions 2, 3; columns: level of ions 1, 4
+    pair = bell_pair_initial(cfg).reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
+    full = oracle_evolve(np.kron(pair, np.eye(n_sectors)), h, t).reshape(4, n_sectors, 4, n_sectors)
+    return np.einsum("s,omis,omjs->oij", thermal.weights.ravel(), full, full.conj())
+
+
+class TestBellChannelMoments:
+    """The three-moment Bell channel equals the sector-by-sector register run
+    and the full-space oracle."""
+
+    PHASE = st.floats(-math.pi, math.pi)
+    INPUTS = dict(
+        k=st.integers(1, 4),
+        phases=st.builds(PhaseConfig, PHASE, PHASE, PHASE, PHASE),
+        nbar=st.floats(0.0, 5.0),
+        eta=st.floats(0.05, 0.3),
+        epsilon=st.floats(-0.1, 0.1),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(**INPUTS)
+    def test_matches_register_run(self, k, phases, nbar, eta, epsilon):
+        cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, phases=phases, k=k)
+        reference = _pair_run(bell_pair_initial(cfg), cfg.analyzer_pulse_spec(), cfg.thermal(), cfg.modes())
+        assert np.max(np.abs(_bell_channel(cfg) - reference)) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(**INPUTS)
+    def test_matches_full_space_oracle(self, k, phases, nbar, eta, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # tail mass past the small cutoffs
+            cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, phases=phases, k=k, cutoff=4, cutoff_r=2)
+            assert np.max(np.abs(_bell_channel(cfg) - oracle_bell_channel(cfg))) <= 1e-12
+
+
+class TestWarmTrap:
+    """No Lamb-Dicke assumption: at nbar = 20 the reports converge in the cutoffs."""
+
+    def test_doubled_cutoffs_move_reports_within_tail_budget(self):
+        cfg = TeleportConfig(nbar=20.0, eta=0.15, epsilon=0.05)
+        doubled = replace(cfg, cutoff=2 * cfg.cutoff, cutoff_r=2 * cfg.cutoff_r, cutoff_b=2 * cfg.cutoff_b)
+        for run in (
+            lambda c: teleport_fidelity("average", c).aggregate,
+            lambda c: channel_fidelity(c.thermal(), c.analyzer_pulse_spec(), c.modes()),
+        ):
+            assert abs(run(doubled) - run(cfg)) <= 2 * cfg.tail_tol
