@@ -5,25 +5,19 @@ prepares Bell channels from thermal motional states, runs the analyzer /
 measurement / correction pipeline, and estimates fidelities.
 """
 
-from .linalg import fidelity, mat_exp, partial_trace, projector, tensor
+from .linalg import fidelity, projector
 from .motional import (
     ModeParams,
     ThermalSpec,
-    coupling_factor,
     cutoff_for,
     default_eta_r,
     laguerre,
     matched_nbar_r,
-    rabi_frequency,
     thermal_distribution,
 )
 from .dynamics import (
     PulseSpec,
-    build_heff,
-    build_ld_hamiltonian,
     carrier_rotation,
-    oracle_evolve,
-    sector_evolve,
     sector_unitary,
 )
 from .protocol import (
@@ -35,13 +29,9 @@ from .protocol import (
     TeleportConfig,
     analyzer_pulse,
     channel_fidelity,
-    channel_fidelity_pipeline,
     channel_target_state,
-    correct_ion3,
     entanglement_swap,
     entanglement_teleport,
-    measure_and_condition,
-    prepare_channel,
     teleport_fidelity,
 )
 from .pulsescript import PulseScript, ScriptError, execute_script, parse_pulse_script
@@ -61,14 +51,9 @@ __all__ = [
     "TeleportConfig",
     "ThermalSpec",
     "analyzer_pulse",
-    "build_heff",
-    "build_ld_hamiltonian",
     "carrier_rotation",
     "channel_fidelity",
-    "channel_fidelity_pipeline",
     "channel_target_state",
-    "correct_ion3",
-    "coupling_factor",
     "cutoff_for",
     "default_eta_r",
     "entanglement_swap",
@@ -76,18 +61,10 @@ __all__ = [
     "execute_script",
     "fidelity",
     "laguerre",
-    "mat_exp",
     "matched_nbar_r",
-    "measure_and_condition",
-    "oracle_evolve",
     "parse_pulse_script",
-    "partial_trace",
-    "prepare_channel",
     "projector",
-    "rabi_frequency",
-    "sector_evolve",
     "sector_unitary",
     "teleport_fidelity",
-    "tensor",
     "thermal_distribution",
 ]

@@ -4,8 +4,8 @@ A simultaneous red/blue Raman pair drives, per Fock sector (n, n_r), a pair
 of two-level ions with an effective Hamiltonian that is diagonal in the
 motional labels. Evolution therefore factors into independent 4-dimensional
 electronic problems, solved here in closed form for one sector or for an
-array of sectors at once; the full truncated-space Hamiltonian is also built
-for verification by direct matrix exponential.
+array of sectors at once. ``ionsim.oracle`` builds the full truncated-space
+Hamiltonian that the tests check this against.
 
 Electronic basis ordering for the pulsed pair is |dd>, |du>, |ud>, |uu>,
 with d the lower level and ion order matching tensor order.
@@ -13,8 +13,8 @@ with d the lower level and ion order matching tensor order.
 Sign convention: the two-photon drive strength is proportional to
 (i*eta)**(2k)/delta and so carries a factor (-1)**k; with the pair detuned
 delta > 0 this sign multiplies the scaled sideband brackets returned by
-:func:`ionsim.motional.rabi_grid`. All generators and closed-form
-unitaries here include it, so positive times evolve forward.
+:func:`ionsim.motional.rabi_grid`. All closed-form unitaries here
+include it, so positive times evolve forward.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .motional import ModeParams, laguerre, rabi_grid
+from .motional import laguerre
 
 DOWN_DOWN, DOWN_UP, UP_DOWN, UP_UP = range(4)
 
@@ -87,13 +86,6 @@ def mixing_operator(k: int, phi: float, phi0: float) -> np.ndarray:
     return m
 
 
-def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
-    """Electronic part of the sideband Hamiltonian for unit vibrational factor:
-    ``mixing_operator`` plus the self-energy shift (-1)**k I.
-    """
-    return drive_sign(k) * np.eye(4) + mixing_operator(k, phi, phi0)
-
-
 def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:
     """Closed-form 4x4 evolution of one Fock sector for a raw duration ``t``.
 
@@ -118,55 +110,12 @@ def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t
     return u
 
 
-def sector_evolve(
-    electronic: np.ndarray, pulse: PulseSpec, omega: float, omega_ref: float
-) -> np.ndarray:
-    """Apply one pulse to a 4-amplitude two-ion state in the sector whose Rabi
-    factor is ``omega``, with the duration calibrated against ``omega_ref``."""
-    electronic = np.asarray(electronic, dtype=complex)
-    if electronic.shape != (4,):
-        raise ValueError("sector_evolve expects a 4-amplitude two-ion state")
-    t = pulse.duration(omega_ref)
-    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, omega, t) @ electronic
-
-
 def ld_pulse_unitary(k: int, phi: float, phi0: float, theta: float) -> np.ndarray:
     """Pulse unitary in the Lamb-Dicke limit: every sector mixes as (0, 0)
     does, by the area ``theta`` (imprecision included) and with the sign of
     its bracket -k! f_k(0, 0)**2 < 0. At small eta only k = 1 mixes all
     sectors alike; for k >= 2 the bracket grows with n."""
     return sector_unitary(k, phi, phi0, -1.0, theta)
-
-
-def build_heff(
-    k: int,
-    p: ModeParams,
-    phi: float,
-    phi0: float,
-    cutoff: int,
-    cutoff_r: int | None = None,
-) -> np.ndarray:
-    """Full effective Hamiltonian on (two-ion electronic) x (two-mode Fock
-    space truncated at the given cutoffs), in units of the drive strength.
-
-    The vibrational factor is diagonal in (n, n_r), so the operator is the
-    electronic generator tensored with a real diagonal and is Hermitian by
-    construction. Intended as the brute-force oracle for ``sector_evolve``;
-    the sector decomposition is the production path.
-    """
-    if cutoff < k:
-        raise ValueError("Fock cutoff must be at least the sideband order")
-    if cutoff_r is None:
-        cutoff_r = cutoff
-    diag = drive_sign(k) * rabi_grid(k, cutoff, cutoff_r, p).ravel()
-    return linalg.tensor(_pair_generator(k, phi, phi0), np.diag(diag).astype(complex))
-
-
-def build_ld_hamiltonian(phi: float, phi0: float) -> np.ndarray:
-    """Electronic-only generator of the first sideband in the Lamb-Dicke
-    limit, in units of the Rabi frequency magnitude: double-flip with phase
-    2*phi minus flip-flop with phase phi0 minus the self-energy half."""
-    return _pair_generator(1, phi, phi0)
 
 
 def carrier_rotation(
@@ -182,13 +131,3 @@ def carrier_rotation(
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     theta = angle * (1.0 + epsilon) * laguerre(n, 0, eta_local**2)
     return math.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * math.sin(theta / 2) * PAULI[axis]
-
-
-def oracle_evolve(state: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a state by exp(-i h t) through a dense matrix exponential."""
-    state = np.asarray(state, dtype=complex)
-    if h.shape[0] != state.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: generator {h.shape[0]} vs state {state.shape[0]}"
-        )
-    return linalg.mat_exp(h, t) @ state

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: tensor products, partial trace, Hermitian
-matrix exponentials and trace-overlap fidelity.
+"""Dense complex linear algebra: pure-state projectors and trace-overlap
+fidelity with Hermiticity and trace checks.
 
 States are plain 1-D complex ndarrays, operators 2-D complex ndarrays.
 All functions are pure and never mutate their arguments.
@@ -9,91 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Largest dimension a tensor product is allowed to produce.
-DIM_CAP = 1 << 20
-
 HERMITIAN_TOL = 1e-10
 
 
-class TruncationSizeError(ValueError):
-    """Raised when a tensor product would exceed the dimension cap."""
-
-
-def _as_complex(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = _as_complex(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m - m.conj().T)) <= tol
-    )
-
-
 def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    m = _as_complex(m)
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
     return m
 
 
-def tensor(a: np.ndarray, b: np.ndarray, max_dim: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product of two states or two operators.
-
-    Ordering is left factor slow / right factor fast, i.e. electronic
-    before motional and ion 1 before ion 2 before ion 3.
-    """
-    a, b = _as_complex(a), _as_complex(b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("tensor operands must be nonempty")
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError(f"tensor requires two states or two operators, got ndim {a.ndim} and {b.ndim}")
-    if a.shape[0] * b.shape[0] > max_dim:
-        raise TruncationSizeError(
-            f"truncation too large: tensor product dimension {a.shape[0] * b.shape[0]} exceeds cap {max_dim}"
-        )
-    return np.kron(a, b)
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     """Density operator |psi><psi| of a pure state."""
-    psi = _as_complex(psi)
+    psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def partial_trace(rho: np.ndarray, keep: list[int], dims: list[int]) -> np.ndarray:
-    """Reduced density operator over the subsystems listed in ``keep``.
-
-    ``dims`` lists every subsystem dimension in tensor order; their product
-    must equal the dimension of ``rho``. Kept subsystems stay in their
-    original relative order.
-    """
-    rho = _require_hermitian(rho, HERMITIAN_TOL, "partial_trace input")
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape[0] != total:
-        raise ValueError(f"dims {dims} do not match operator dimension {rho.shape[0]}")
-    keep = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-
-    t = rho.reshape(dims + dims)
-    for ax in sorted((i for i in range(n) if i not in keep), reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=ax, axis2=ax + half)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
-
-
-def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) of a Hermitian generator, via eigendecomposition."""
-    h = _require_hermitian(h, HERMITIAN_TOL, "mat_exp generator")
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -104,7 +36,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise ValueError(f"fidelity dimension mismatch: {rho.shape} vs {sigma.shape}")
     for m in (rho, sigma):
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > HERMITIAN_TOL:
+        if not abs(tr - 1.0) <= HERMITIAN_TOL:
             raise ValueError(f"fidelity argument has trace {tr:.6g}, expected 1")
     val = float(np.trace(rho @ sigma).real)
     if -1e-9 <= val < 0.0:

@@ -1,6 +1,5 @@
 """Motional-mode mathematics for a two-ion crystal: associated Laguerre
-polynomials, Lamb-Dicke coupling factors, scaled sideband Rabi factors and
-thermal Fock distributions.
+polynomials, scaled sideband Rabi factors and thermal Fock distributions.
 """
 
 from __future__ import annotations
@@ -61,25 +60,11 @@ def laguerre(m: int, k: int, x: float) -> float:
     return 1.0 if m == 0 and k >= 0 else float(laguerre_table(m, k, x)[m])
 
 
-def coupling_factor(k: int, n: int, n_r: int, p: ModeParams) -> float:
-    """Lamb-Dicke coupling factor of the k-th sideband on the Fock sector (n, n_r):
-
-        f_k(n, n_r) = exp(-(eta^2 + eta_r^2)/2) * n!/(n+k)!
-                      * L_n^k(eta^2) * L_{n_r}^0(eta_r^2)
-
-    The factorial ratio is one correctly rounded integer division, finite at any n.
-    """
-    if k < 0 or n < 0 or n_r < 0:
-        raise ValueError("sideband order and Fock indices must be nonnegative")
-    gauss = math.exp(-(p.eta**2 + p.eta_r**2) / 2.0)
-    ratio = math.factorial(n) / math.factorial(n + k)
-    return gauss * ratio * laguerre(n, k, p.eta**2) * laguerre(n_r, 0, p.eta_r**2)
-
-
 def rabi_grid(k: int, cutoff: int, cutoff_r: int, p: ModeParams) -> np.ndarray:
     """Scaled sideband Rabi factors of the Fock sectors n <= cutoff,
     n_r <= cutoff_r, in units of the two-photon drive strength of the k-th
-    sideband. Entry [n, n_r] is the bracket of ``coupling_factor``
+    sideband. Entry [n, n_r] is the bracket of the coupling factors f_k of
+    ``ionsim.oracle.coupling_factor``
 
         f_k^2(n-k, n_r) n!/(n-k)! - f_k^2(n, n_r) (n+k)!/n!
           = exp(-(eta^2 + eta_r^2)) a_k(n) L_{n_r}(eta_r^2)^2,
@@ -99,11 +84,6 @@ def rabi_grid(k: int, cutoff: int, cutoff_r: int, p: ModeParams) -> np.ndarray:
     a = np.concatenate([np.zeros(k), b])[: cutoff + 1] - b
     gauss = math.exp(-(p.eta**2 + p.eta_r**2))
     return np.outer(gauss * a, laguerre_table(cutoff_r, 0, p.eta_r**2) ** 2)
-
-
-def rabi_frequency(k: int, n: int, n_r: int, p: ModeParams) -> float:
-    """Scaled sideband Rabi factor of sector (n, n_r): entry [n, n_r] of ``rabi_grid``, from row n alone."""
-    return float(rabi_grid(k, n, 0, p)[n, 0] * laguerre_table(n_r, 0, p.eta_r**2)[n_r] ** 2)
 
 
 def matched_nbar_r(nbar: float, nu_ratio: float = NU_RATIO_DEFAULT) -> float:
@@ -126,7 +106,9 @@ def cutoff_for(nbar: float, tail_tol: float = TAIL_TOL_DEFAULT) -> int:
     ``tail_tol``."""
     if not 0 < tail_tol < 1:
         raise ValueError("tail_tol must lie in (0, 1)")
-    if nbar <= 0:
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar!r}")
+    if nbar == 0:
         return 0
     ratio = nbar / (1.0 + nbar)
     return max(0, math.ceil(math.log(tail_tol) / math.log(ratio)) - 1)
@@ -137,8 +119,9 @@ def thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
 
     The returned array is not renormalized; it sums to one minus the tail mass.
     """
-    if nbar < 0 or cutoff < 0:
-        raise ValueError("mean occupation and cutoff must be nonnegative")
+    if not 0 <= nbar < math.inf or cutoff < 0:
+        raise ValueError(f"mean occupation must be finite and nonnegative and cutoff nonnegative, "
+                         f"got {nbar!r} and {cutoff!r}")
     if nbar == 0:
         w = np.zeros(cutoff + 1)
         w[0] = 1.0
@@ -168,7 +151,7 @@ class ThermalSpec:
         if np.any(self.weights < 0):
             raise ValueError("thermal weights must be nonnegative")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-14:
+        if not abs(total - 1.0) <= 1e-14:
             raise ValueError(f"thermal weights sum to {total!r}, expected 1")
 
 

@@ -1,0 +1,145 @@
+"""Brute-force references that the tests hold the production routes to:
+the full truncated-space Hamiltonian and its dense exponential, the
+Lamb-Dicke coupling factors, the thermal channel and the measurement sector
+by sector, the trap-B correction level by level and the full-space pair run.
+No other module of the package imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import linalg, protocol
+from .dynamics import PulseSpec, carrier_rotation, drive_sign, mixing_operator
+from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre, rabi_grid
+
+
+def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i h t) of a Hermitian generator, via eigendecomposition."""
+    h = linalg._require_hermitian(h, linalg.HERMITIAN_TOL, "mat_exp generator")
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+
+
+def oracle_evolve(state: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
+    """Evolve a state by exp(-i h t) through a dense matrix exponential."""
+    state = np.asarray(state, dtype=complex)
+    if h.shape[0] != state.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: generator {h.shape[0]} vs state {state.shape[0]}"
+        )
+    return mat_exp(h, t) @ state
+
+
+def _pair_generator(k: int, phi: float, phi0: float) -> np.ndarray:
+    """Electronic part of the sideband Hamiltonian for unit vibrational factor:
+    ``mixing_operator`` plus the self-energy shift (-1)**k I. At k = 1 this is
+    the Lamb-Dicke-limit generator in units of the Rabi frequency magnitude:
+    double-flip with phase 2*phi minus flip-flop with phase phi0 minus the
+    self-energy half.
+    """
+    return drive_sign(k) * np.eye(4) + mixing_operator(k, phi, phi0)
+
+
+def build_heff(
+    k: int,
+    p: ModeParams,
+    phi: float,
+    phi0: float,
+    cutoff: int,
+    cutoff_r: int | None = None,
+) -> np.ndarray:
+    """Full effective Hamiltonian on (two-ion electronic) x (two-mode Fock
+    space truncated at the given cutoffs), in units of the drive strength.
+
+    The vibrational factor is diagonal in (n, n_r), so the operator is the
+    electronic generator tensored with a real diagonal and is Hermitian by
+    construction.
+    """
+    if cutoff < k:
+        raise ValueError("Fock cutoff must be at least the sideband order")
+    if cutoff_r is None:
+        cutoff_r = cutoff
+    diag = drive_sign(k) * rabi_grid(k, cutoff, cutoff_r, p).ravel()
+    return np.kron(_pair_generator(k, phi, phi0), np.diag(diag).astype(complex))
+
+
+def coupling_factor(k: int, n: int, n_r: int, p: ModeParams) -> float:
+    """Lamb-Dicke coupling factor of the k-th sideband on the Fock sector (n, n_r):
+
+        f_k(n, n_r) = exp(-(eta^2 + eta_r^2)/2) * n!/(n+k)!
+                      * L_n^k(eta^2) * L_{n_r}^0(eta_r^2)
+
+    The factorial ratio is one correctly rounded integer division, finite at any n.
+    """
+    if k < 0 or n < 0 or n_r < 0:
+        raise ValueError("sideband order and Fock indices must be nonnegative")
+    gauss = math.exp(-(p.eta**2 + p.eta_r**2) / 2.0)
+    ratio = math.factorial(n) / math.factorial(n + k)
+    return gauss * ratio * laguerre(n, k, p.eta**2) * laguerre(n_r, 0, p.eta_r**2)
+
+
+def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
+    """Drive both ions from |dd> with one pulse in every thermal Fock sector:
+    the (S, 4) amplitudes, one row per sector of ``thermal.weights.ravel()``.
+
+    The |du>, |ud> amplitudes stay exactly zero: the double-sideband drive
+    preserves the electronic parity blocks.
+    """
+    return protocol._sector_unitaries(thermal, pulse, modes)[:, :, 0]
+
+
+def channel_fidelity_pipeline(
+    thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams
+) -> float:
+    """``protocol.channel_fidelity`` through the general route: prepare every
+    sector, then project the mixture onto the ideal channel state."""
+    target = protocol.channel_target_state(pulse.k, pulse.phi)
+    overlaps = prepare_channel(thermal, pulse, modes) @ target.conj()
+    return float(thermal.weights.ravel() @ np.abs(overlaps) ** 2)
+
+
+def measure_and_condition(
+    register: np.ndarray,
+    weights: np.ndarray,
+    pair: tuple[int, int] = (0, 1),
+    n_qubits: int = 3,
+) -> list[protocol.OutcomeState]:
+    """Measure ions ``pair`` in the energy basis over the (S, 2**n_qubits)
+    sector registers mixed with the S ``weights``.
+
+    Returns the four outcomes in fixed order, each with its probability and
+    the posterior density operator of the unmeasured ions; an outcome of zero
+    probability is flagged empty rather than raising.
+    """
+    return protocol._outcome_states(protocol._posteriors(register, weights, pair, n_qubits))
+
+
+def trap_b_correction(axis: str, state: np.ndarray, nbar_b: float, eta_b: float, epsilon: float) -> np.ndarray:
+    """The thermal mixture sum_n w_n R_n rho R_n^+ of the pi rotations R_n
+    about ``axis`` on the last qubit of ``state``, one ``carrier_rotation``
+    per Fock level n of trap B, with the Bose-Einstein weights w_n
+    renormalised over the levels up to ``cutoff_for(nbar_b)``."""
+    rho = np.array(state, dtype=complex)
+    weights = np.array([nbar_b**n / (1 + nbar_b) ** (n + 1) for n in range(cutoff_for(nbar_b) + 1)])
+    out = np.zeros_like(rho)
+    for n, w in enumerate(weights / weights.sum()):
+        r = np.kron(np.eye(rho.shape[0] // 2), carrier_rotation(axis, math.pi, n, eta_b, epsilon))
+        out += w * (r @ rho @ r.conj().T)
+    return out
+
+
+def pair_run(initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec, modes: ModeParams) -> np.ndarray:
+    """The thermal ``protocol._pair_run`` of the 4-ion register ``initial``
+    by one dense matrix exponential of the pulse's full Hamiltonian on ions
+    2, 3 and both trap-A modes, traced over the motion: the posteriors of
+    ions 1 and 4, a (4, 4, 4) array in ``OUTCOMES`` order of trace p_o."""
+    n_sectors = thermal.weights.size
+    h = build_heff(pulse.k, modes, pulse.phi, pulse.phi0, thermal.cutoff, thermal.cutoff_r)
+    t = pulse.duration(rabi_grid(pulse.k, 0, 0, modes)[0, 0])
+    # rows: level of ions 2, 3; columns: level of ions 1, 4
+    pair = np.asarray(initial).reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
+    full = oracle_evolve(np.kron(pair, np.eye(n_sectors)), h, t).reshape(4, n_sectors, 4, n_sectors)
+    return np.einsum("s,omis,omjs->oij", thermal.weights.ravel(), full, full.conj())

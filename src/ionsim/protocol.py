@@ -1,6 +1,8 @@
-"""Teleportation pipeline: Bell-channel preparation and fidelity, the
-two-ion analyzer pulse, projective measurement with conditional correction,
-end-to-end fidelity reports, entanglement teleportation and swapping.
+"""Teleportation pipeline: Bell-channel fidelity, the two-ion analyzer
+pulse, projective measurement with conditional correction, end-to-end
+fidelity reports, entanglement teleportation and swapping. The
+sector-by-sector and full-space references that the tests hold these
+routes to live in ``ionsim.oracle``.
 
 Every teleport report comes from one Bell-pair channel run: the analyzer and
 measurement of ions 2 and 3 on Phi+(ions 1, 2) x channel(ions 3, 4) leave the
@@ -309,16 +311,6 @@ def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams)
     return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *_sector_rabi(thermal, pulse, modes))
 
 
-def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
-    """Drive both ions from |dd> with one pulse in every thermal Fock sector:
-    the (S, 4) amplitudes, one row per sector of ``thermal.weights.ravel()``.
-
-    The |du>, |ud> amplitudes stay exactly zero: the double-sideband drive
-    preserves the electronic parity blocks.
-    """
-    return _sector_unitaries(thermal, pulse, modes)[:, :, 0]
-
-
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:
     """Overlap of the thermally prepared channel with ``channel_target_state``
     by the closed form F = sum_s w_s (1 + s sin(2 a_s))/2 = 1/2 + s C_cs, with
@@ -326,15 +318,6 @@ def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) 
     ``_sector_moments`` and s = -drive_sign(k) the sign of the ideal angle
     (see ``ld_pulse_unitary``)."""
     return float(0.5 - drive_sign(pulse.k) * _sector_moments(thermal, pulse, modes)[2])
-
-
-def channel_fidelity_pipeline(
-    thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams
-) -> float:
-    """Same fidelity through the general route: prepare every sector, then
-    project the mixture onto the ideal channel state."""
-    overlaps = prepare_channel(thermal, pulse, modes) @ channel_target_state(pulse.k, pulse.phi).conj()
-    return float(thermal.weights.ravel() @ np.abs(overlaps) ** 2)
 
 
 def analyzer_pulse(
@@ -349,22 +332,6 @@ def analyzer_pulse(
     by every thermal sector, with the full (n, n_r) dependence of the
     sideband drive: the (S, 2**n_qubits) registers of the S sectors."""
     return apply(_sector_unitaries(thermal, pulse, modes), register, pair, n_qubits)
-
-
-def measure_and_condition(
-    register: np.ndarray,
-    weights: np.ndarray,
-    pair: tuple[int, int] = (0, 1),
-    n_qubits: int = 3,
-) -> list[OutcomeState]:
-    """Measure ions ``pair`` in the energy basis over the (S, 2**n_qubits)
-    sector registers mixed with the S ``weights``.
-
-    Returns the four outcomes in fixed order, each with its probability and
-    the posterior density operator of the unmeasured ions; an outcome of zero
-    probability is flagged empty rather than raising.
-    """
-    return _outcome_states(_posteriors(register, weights, pair, n_qubits))
 
 
 def _posteriors(register: np.ndarray, weights: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
@@ -428,36 +395,17 @@ def swap_heralds(k: int, phases: PhaseConfig) -> MappingProxyType[str, tuple[str
     return MappingProxyType(heralds)
 
 
-def correct_ion3(
-    axis: str | None,
-    state: np.ndarray,
-    nbar_b: float,
-    eta_b: float,
-    epsilon: float = 0.0,
-    cutoff_b: int | None = None,
-    tail_tol: float = TAIL_TOL_DEFAULT,
-) -> np.ndarray:
-    """Conditional recovery rotation on the receiving ion, the last qubit of
-    the posterior ``state``, mixed over the thermal occupation of its host
-    trap.
-
-    ``axis`` None needs no pulse and therefore introduces no error; 'x', 'y'
-    or 'z' gives a pi rotation about that axis whose angle per Fock level n,
-    theta_n = pi (1 + epsilon) L_n(eta_b^2), carries the carrier Debye-Waller
+def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int) -> tuple:
+    """The sums A, B, C of the correction on the receiving ion, mixed over the
+    Fock levels n <= cutoff_b of its host trap B; they do not depend on the
+    outcome corrected. A pi rotation about sigma has on level n the angle
+    theta_n = pi (1 + epsilon) L_n(eta_b^2), with the carrier Debye-Waller
     factor and the area imprecision. With R_n = c_n I - i s_n sigma,
     c_n = cos(theta_n/2) and s_n = sin(theta_n/2), the thermal mixture
-    sum_n w_n R_n rho R_n^+ equals
-    A rho + B sigma rho sigma + i C (rho sigma - sigma rho)
+    sum_n w_n R_n rho R_n^+ equals A rho + B sigma rho sigma + i C (rho sigma - sigma rho)
     with A = sum_n w_n c_n^2, B = sum_n w_n s_n^2 and C = sum_n w_n c_n s_n,
-    so no per-level matrix product is formed.
+    so no per-level matrix product is formed (``_rotate_ion3``).
     """
-    return _rotate_ion3(axis, state, *_trap_b_sums(nbar_b, eta_b, epsilon, cutoff_b, tail_tol))
-
-
-def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int | None, tail_tol: float) -> tuple:
-    """The sums A, B, C of ``correct_ion3``, which do not depend on the outcome corrected."""
-    if cutoff_b is None:
-        cutoff_b = cutoff_for(nbar_b, tail_tol)
     weights = thermal_weights(nbar_b, cutoff_b)
     weights = weights / weights.sum()
     theta = math.pi * (1.0 + epsilon) * laguerre_table(cutoff_b, 0, eta_b**2)
@@ -466,7 +414,9 @@ def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int | No
 
 
 def _rotate_ion3(axis: str | None, state: np.ndarray, a: float, b: float, cs: float) -> np.ndarray:
-    """``correct_ion3`` given the trap-B sums A, B, C of ``_trap_b_sums``."""
+    """The thermally mixed correction about ``axis`` of the last qubit of the
+    posterior ``state``, from the trap-B sums A, B, C of ``_trap_b_sums``;
+    ``axis`` None needs no pulse and therefore introduces no error."""
     if axis is not None and axis not in PAULI:
         raise ValueError(f"unknown correction axis {axis!r}")
     rho = np.array(state, dtype=complex)
@@ -485,7 +435,7 @@ def score_outcomes(
     score it against ``ideal``. Returns per-outcome probabilities, fidelities
     (0 for an empty branch) and their aggregate sum_o p_o F_o."""
     axes = correction_axes(cfg.k, cfg.phases)
-    sums = _trap_b_sums(cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b, cfg.tail_tol)
+    sums = _trap_b_sums(cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b)
     probs: dict[str, float] = {}
     fids: dict[str, float] = {}
     aggregate = 0.0
@@ -526,7 +476,7 @@ def _bell_terms(k: int, phases: PhaseConfig) -> np.ndarray:
     cos a B0 + sin a B1 up to a phase, so T0 = B0 B0^+, T1 = B1 B1^+ and
     T2 = B0 B1^+ + B1 B0^+ per outcome.
     """
-    psi0 = linalg.tensor(BELL_STATES["phi+"], channel_target_state(k, phases.phi_b))
+    psi0 = np.kron(BELL_STATES["phi+"], channel_target_state(k, phases.phi_b))
     flip = -1j * mixing_operator(k, phases.phi_a, phases.phi0_a)
     b = split_pair(np.stack([psi0, apply(flip, psi0, (1, 2), 4)]), (1, 2), 4)
     outer = np.einsum("aoi,boj->aboij", b, b.conj())
@@ -600,7 +550,7 @@ def entanglement_teleport(
     if psi.shape != (4,):
         raise ValueError("entanglement_teleport expects a 4-amplitude two-ion state")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"input state has norm {norm!r}, expected 1")
     label = "two-qubit:" + ",".join(f"{a}" for a in psi)
     return FidelityReport(*_teleport(psi, cfg), cfg.describe(), label)
@@ -626,7 +576,7 @@ def entanglement_swap(
         pulse = PulseSpec(phi=phases.phi_a, phi0=phases.phi0_a)
     if thermal is not None and modes is None:
         raise ValueError("thermal swap requires mode parameters")
-    initial = linalg.tensor(BELL_STATES["phi+"], BELL_STATES["phi+"])
+    initial = np.kron(BELL_STATES["phi+"], BELL_STATES["phi+"])
     outcomes = _outcome_states(_pair_run(initial, pulse, thermal, modes))
     heralds = swap_heralds(pulse.k, replace(phases, phi_a=pulse.phi, phi0_a=pulse.phi0))
     results = []

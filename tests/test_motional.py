@@ -11,16 +11,16 @@ from ionsim import protocol
 from ionsim.dynamics import PulseSpec
 from ionsim.motional import (
     ModeParams,
+    ThermalSpec,
     cutoff_for,
-    coupling_factor,
     default_eta_r,
     laguerre,
     matched_nbar_r,
-    rabi_frequency,
     rabi_grid,
     thermal_distribution,
     thermal_weights,
 )
+from ionsim.oracle import coupling_factor
 
 ETA = 0.15
 MODES = ModeParams(eta=ETA)
@@ -101,18 +101,16 @@ class TestCouplingFactor:
 class TestRabiFrequency:
     def test_ground_sector_first_sideband(self):
         expected = -math.exp(-(MODES.eta**2 + MODES.eta_r**2))
-        assert rabi_frequency(1, 0, 0, MODES) == pytest.approx(expected, abs=1e-15)
-        assert rabi_frequency(1, 0, 0, MODES) == pytest.approx(-0.96513, abs=1e-5)
+        assert rabi_grid(1, 0, 0, MODES)[0, 0] == pytest.approx(expected, abs=1e-15)
+        assert rabi_grid(1, 0, 0, MODES)[0, 0] == pytest.approx(-0.96513, abs=1e-5)
 
     def test_carrier_has_no_coupling(self):
         for n in range(4):
             for n_r in range(4):
-                assert rabi_frequency(0, n, n_r, MODES) == 0.0
+                assert rabi_grid(0, n, n_r, MODES)[n, n_r] == 0.0
 
     def test_magnitudes_pairwise_distinct_on_surface_grid(self):
-        mags = sorted(
-            abs(rabi_frequency(1, n, n_r, MODES)) for n in range(26) for n_r in range(26)
-        )
+        mags = sorted(np.abs(rabi_grid(1, 25, 25, MODES)).ravel())
         assert len(mags) == 676
         assert min(b - a for a, b in zip(mags, mags[1:])) > 0
 
@@ -122,7 +120,7 @@ class TestRabiFrequency:
         st.integers(0, 25), st.integers(0, 25), st.integers(1, 2),
     )
     def test_finite_and_nonzero(self, eta, n, n_r, k):
-        value = rabi_frequency(k, n, n_r, ModeParams(eta=eta))
+        value = rabi_grid(k, n, n_r, ModeParams(eta=eta))[n, n_r]
         assert math.isfinite(value)
         assert value != 0.0
 
@@ -176,6 +174,11 @@ class TestCutoffFor:
         assert cutoff_for(1.0, 1e-6) == 19
         assert cutoff_for(5.0, 1e-6) == 75
 
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan, -0.5])
+    def test_rejects_nonfinite_or_negative_occupation(self, nbar):
+        with pytest.raises(ValueError, match="mean occupation must be finite and nonnegative"):
+            cutoff_for(nbar)
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.01, 10.0, allow_nan=False))
     def test_tail_bound_holds_and_is_tight(self, nbar):
@@ -226,8 +229,21 @@ class TestThermalDistribution:
             assert omega.shape == weights.shape == (12,)
             for n in range(4):
                 for n_r in range(3):
-                    assert omega[n * 3 + n_r] == rabi_frequency(k, n, n_r, MODES)
+                    assert omega[n * 3 + n_r] == rabi_grid(k, n, n_r, MODES)[n, n_r]
                     assert weights[n * 3 + n_r] == spec.weights[n, n_r]
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5])
+def test_thermal_weights_reject_nonfinite_or_negative_occupation(nbar):
+    with pytest.raises(ValueError, match="mean occupation must be finite and nonnegative"):
+        thermal_weights(nbar, 5)
+    with pytest.raises(ValueError, match="mean occupation must be finite and nonnegative"):
+        thermal_distribution(nbar, 0.0, 5)
+
+
+def test_thermal_spec_rejects_nan_weights():
+    with pytest.raises(ValueError, match="expected 1"):
+        ThermalSpec(nbar=0.0, nbar_r=0.0, cutoff=1, cutoff_r=0, weights=np.array([[1.0], [np.nan]]), tail_mass=0.0)
 
 
 def test_thermal_weights_raw_mass():

@@ -9,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionsim import linalg
-from ionsim.dynamics import PulseSpec, build_heff, build_ld_hamiltonian, carrier_rotation, oracle_evolve
-from ionsim.motional import ModeParams, rabi_frequency, thermal_distribution, cutoff_for, matched_nbar_r
+from ionsim.dynamics import PulseSpec, carrier_rotation, ld_pulse_unitary
+from ionsim.motional import ModeParams, rabi_grid, thermal_distribution, cutoff_for, matched_nbar_r
+from ionsim.oracle import (
+    _pair_generator,
+    channel_fidelity_pipeline,
+    measure_and_condition,
+    pair_run,
+    prepare_channel,
+    trap_b_correction,
+)
 from ionsim.protocol import (
     BELL_STATES,
     CARDINAL_STATES,
@@ -21,16 +29,14 @@ from ionsim.protocol import (
     _bell_channel,
     _bell_terms,
     _pair_run,
+    _rotate_ion3,
+    _trap_b_sums,
     analyzer_pulse,
     channel_fidelity,
-    channel_fidelity_pipeline,
     channel_target_state,
-    correct_ion3,
     correction_axes,
     entanglement_swap,
     entanglement_teleport,
-    measure_and_condition,
-    prepare_channel,
     score_outcomes,
     swap_heralds,
     teleport_fidelity,
@@ -101,7 +107,7 @@ class TestPrepareChannel:
     def test_hot_sector_rotation_angle_scales_with_rabi_ratio(self):
         thermal = thermal_distribution(1.0, 0.5, cutoff=4, cutoff_r=4, tail_tol=0.999)
         sectors = prepare_channel(thermal, bell_pulse(), MODES)
-        ratio = abs(rabi_frequency(1, 2, 1, MODES) / rabi_frequency(1, 0, 0, MODES))
+        ratio = abs(rabi_grid(1, 2, 1, MODES)[2, 1] / rabi_grid(1, 0, 0, MODES)[0, 0])
         target = sectors[2 * (thermal.cutoff_r + 1) + 1]
         angle = math.atan2(abs(target[3]), abs(target[0]))
         assert angle == pytest.approx(math.pi / 4 * ratio, abs=1e-12)
@@ -155,7 +161,7 @@ class TestChannelFidelityAnyK:
 
 class TestAnalyzerPulse:
     def _ideal_register(self, q):
-        return linalg.tensor(q.vector, channel_target_state(1, PHASES.phi_b))
+        return np.kron(q.vector, channel_target_state(1, PHASES.phi_b))
 
     def test_ideal_branch_pattern(self):
         q = random_qubit(21)
@@ -182,7 +188,7 @@ class TestAnalyzerPulse:
         q = random_qubit(22)
         pulse = PulseSpec(phi=PHASES.phi_a, phi0=PHASES.phi0_a)
         reg = analyzer_pulse(self._ideal_register(q), thermal_for(0.0), pulse, MODES)
-        h_full = np.kron(build_ld_hamiltonian(PHASES.phi_a, PHASES.phi0_a), np.eye(2))
+        h_full = np.kron(_pair_generator(1, PHASES.phi_a, PHASES.phi0_a), np.eye(2))
         u = scipy.linalg.expm(-1j * h_full * (math.pi / 4))
         expected = u @ self._ideal_register(q)
         assert np.max(np.abs(reg[0] - expected)) < 1e-9
@@ -192,7 +198,7 @@ class TestMeasureAndCondition:
     def _analyzed(self, q, nbar=0.0, eps=0.0):
         thermal = thermal_for(nbar)
         pulse = PulseSpec(phi=PHASES.phi_a, phi0=PHASES.phi0_a, epsilon=eps)
-        reg = linalg.tensor(q.vector, channel_target_state(1, PHASES.phi_b))
+        reg = np.kron(q.vector, channel_target_state(1, PHASES.phi_b))
         return measure_and_condition(analyzer_pulse(reg, thermal, pulse, MODES), thermal.weights.ravel())
 
     def test_ideal_probabilities_are_uniform(self):
@@ -221,6 +227,11 @@ class TestMeasureAndCondition:
         for label in ("du", "ud", "uu"):
             assert outcomes[label].probability == 0.0
             assert outcomes[label].empty
+
+
+def correct_ion3(axis, state, nbar_b, eta_b, epsilon=0.0):
+    """The closed-form thermal correction of the last qubit of ``state``."""
+    return _rotate_ion3(axis, state, *_trap_b_sums(nbar_b, eta_b, epsilon, cutoff_for(nbar_b)))
 
 
 class TestCorrectIon3:
@@ -427,7 +438,7 @@ class TestEntanglementTeleport:
         # direct 16-dim oracle: exponential pulse on ions 2,3 then projective
         # measurement and an over-rotated correction on ion 4
         initial = np.kron(psi, channel_target_state(1, PHASES.phi_b))
-        h = np.kron(np.kron(np.eye(2), build_ld_hamiltonian(PHASES.phi_a, PHASES.phi0_a)), np.eye(2))
+        h = np.kron(np.kron(np.eye(2), _pair_generator(1, PHASES.phi_a, PHASES.phi0_a)), np.eye(2))
         state = scipy.linalg.expm(-1j * h * (1 + eps) * math.pi / 4) @ initial
         t = state.reshape(2, 2, 2, 2)
         ideal = linalg.projector(psi)
@@ -448,19 +459,9 @@ class TestEntanglementTeleport:
         with pytest.raises(ValueError):
             entanglement_teleport(np.array([1, 0, 0, 1], dtype=complex), TeleportConfig())
 
-
-def per_level_correction(outcome, rho, nbar_b, eta_b, epsilon):
-    """Thermal mixture sum_n w_n R_n rho R_n^+ of the per-level rotations on
-    the last qubit, level by level."""
-    axis = {"dd": "z", "du": "y", "ud": "x"}[outcome]
-    cutoff = cutoff_for(nbar_b, 1e-6)
-    weights = np.array([nbar_b**n / (1 + nbar_b) ** (n + 1) for n in range(cutoff + 1)])
-    weights /= weights.sum()
-    out = np.zeros_like(rho)
-    for n, w in enumerate(weights):
-        r = np.kron(np.eye(rho.shape[0] // 2), carrier_rotation(axis, math.pi, n, eta_b, epsilon))
-        out += w * (r @ rho @ r.conj().T)
-    return out
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            entanglement_teleport(np.array([np.nan, 0, 0, 1], dtype=complex), TeleportConfig())
 
 
 class TestCorrectionClosedForm:
@@ -478,8 +479,9 @@ class TestCorrectionClosedForm:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho)
-        got = correct_ion3({"dd": "z", "du": "y", "ud": "x"}[outcome], rho, nbar_b, eta_b, epsilon)
-        expected = per_level_correction(outcome, rho, nbar_b, eta_b, epsilon)
+        axis = {"dd": "z", "du": "y", "ud": "x"}[outcome]
+        got = correct_ion3(axis, rho, nbar_b, eta_b, epsilon)
+        expected = trap_b_correction(axis, rho, nbar_b, eta_b, epsilon)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -492,7 +494,7 @@ def register_report(initial, ideal, cfg, pair, n_qubits):
 
 def single_input_oracle(v, cfg):
     """Direct 3-ion run: input on ion 1, channel on ions 2 and 3."""
-    initial = linalg.tensor(v, channel_target_state(cfg.k, cfg.phases.phi_b))
+    initial = np.kron(v, channel_target_state(cfg.k, cfg.phases.phi_b))
     return register_report(initial, linalg.projector(v), cfg, (0, 1), 3)
 
 
@@ -507,7 +509,7 @@ def six_state_oracle(cfg):
 
 def two_ion_oracle(psi, cfg):
     """Direct 4-ion run: input on ions 1 and 2, channel on ions 3 and 4."""
-    initial = linalg.tensor(psi, channel_target_state(cfg.k, cfg.phases.phi_b))
+    initial = np.kron(psi, channel_target_state(cfg.k, cfg.phases.phi_b))
     return register_report(initial, linalg.projector(psi), cfg, (1, 2), 4)
 
 
@@ -544,21 +546,7 @@ class TestBellChannelRun:
 
 def bell_pair_initial(cfg):
     """Phi+ on ions 1, 2 and the channel of ``cfg`` on ions 3, 4."""
-    return linalg.tensor(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
-
-
-def oracle_bell_channel(cfg):
-    """The Bell-pair run by one dense matrix exponential of the analyzer's
-    full Hamiltonian on ions 2, 3 and both trap-A modes, traced over the
-    motion: the posteriors of ions 1, 4 in ``OUTCOMES`` order."""
-    thermal, pulse, modes = cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes()
-    n_sectors = thermal.weights.size
-    h = build_heff(cfg.k, modes, pulse.phi, pulse.phi0, cfg.cutoff, cfg.cutoff_r)
-    t = pulse.duration(rabi_frequency(cfg.k, 0, 0, modes))
-    # rows: level of ions 2, 3; columns: level of ions 1, 4
-    pair = bell_pair_initial(cfg).reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
-    full = oracle_evolve(np.kron(pair, np.eye(n_sectors)), h, t).reshape(4, n_sectors, 4, n_sectors)
-    return np.einsum("s,omis,omjs->oij", thermal.weights.ravel(), full, full.conj())
+    return np.kron(BELL_STATES["phi+"], channel_target_state(cfg.k, cfg.phases.phi_b))
 
 
 class TestBellChannelMoments:
@@ -587,7 +575,49 @@ class TestBellChannelMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # tail mass past the small cutoffs
             cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, phases=phases, k=k, cutoff=4, cutoff_r=2)
-            assert np.max(np.abs(_bell_channel(cfg) - oracle_bell_channel(cfg))) <= 1e-12
+            reference = pair_run(bell_pair_initial(cfg), cfg.analyzer_pulse_spec(), cfg.thermal(), cfg.modes())
+            assert np.max(np.abs(_bell_channel(cfg) - reference)) <= 1e-12
+
+
+class TestSwapOracle:
+    """Every swap equals the full-space pair run of ``ionsim.oracle`` on
+    Phi+ x Phi+, and in the Lamb-Dicke limit one ``ld_pulse_unitary`` on
+    ions 2, 3."""
+
+    PHASES = TestBellChannelMoments.INPUTS["phases"]
+
+    @staticmethod
+    def assert_matches(outcomes, posteriors, heralds):
+        for oc, j in zip(outcomes, posteriors):
+            p = np.trace(j).real
+            target = heralds[oc.label][1]
+            assert abs(oc.probability - p) <= 1e-12
+            assert np.max(np.abs(oc.state - j / p)) <= 1e-12
+            assert abs(oc.fidelity - np.vdot(target, j @ target).real / p) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(1, 4), phases=PHASES, nbar=st.floats(0.0, 3.0), eta=st.floats(0.05, 0.3),
+           epsilon=st.floats(-0.1, 0.1))
+    def test_thermal_swap_matches_full_space_oracle(self, k, phases, nbar, eta, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # tail mass past the small cutoffs
+            cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, phases=phases, k=k, cutoff=4, cutoff_r=2)
+            thermal = cfg.thermal()
+        pulse = cfg.analyzer_pulse_spec()
+        initial = np.kron(BELL_STATES["phi+"], BELL_STATES["phi+"])
+        reference = pair_run(initial, pulse, thermal, cfg.modes())
+        self.assert_matches(entanglement_swap(pulse, phases, thermal, cfg.modes()), reference, swap_heralds(k, phases))
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(1, 4), phases=PHASES, epsilon=st.floats(-0.1, 0.1))
+    def test_lamb_dicke_swap_is_one_pulse(self, k, phases, epsilon):
+        pulse = PulseSpec(phi=phases.phi_a, phi0=phases.phi0_a, k=k, epsilon=epsilon)
+        u = ld_pulse_unitary(k, pulse.phi, pulse.phi0, (1 + epsilon) * pulse.area)
+        state = np.kron(np.kron(np.eye(2), u), np.eye(2)) @ np.kron(BELL_STATES["phi+"], BELL_STATES["phi+"])
+        # rows: outcome of ions 2, 3; columns: level of ions 1, 4
+        branches = state.reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
+        reference = np.einsum("oi,oj->oij", branches, branches.conj())
+        self.assert_matches(entanglement_swap(pulse, phases), reference, swap_heralds(k, phases))
 
 
 class TestWarmTrap:
