@@ -27,7 +27,6 @@ from .protocol import (
     InputQubit,
     PhaseConfig,
     TeleportConfig,
-    analyzer_pulse,
     channel_fidelity,
     channel_target_state,
     entanglement_swap,
@@ -50,7 +49,6 @@ __all__ = [
     "ScriptError",
     "TeleportConfig",
     "ThermalSpec",
-    "analyzer_pulse",
     "carrier_rotation",
     "channel_fidelity",
     "channel_target_state",

@@ -224,7 +224,7 @@ def cmd_channel_fidelity(args: argparse.Namespace) -> int:
     ]
     cfg = configs[0]
     meta = {"command": "channel-fidelity", "eta": cfg.eta, "eta_r": cfg.modes().eta_r,
-            "eps": cfg.epsilon, "tail_tol": cfg.tail_tol,
+            "eps": cfg.epsilon, "k": cfg.k, "tail_tol": cfg.tail_tol,
             "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
             "phi_b": cfg.phases.phi_b, "phi0": cfg.phases.phi0_b}
     write_table(rows, ["nbar", "nbar_r", "fidelity"], meta, opts["format"], opts["out"])
@@ -306,7 +306,7 @@ def cmd_swap(args: argparse.Namespace) -> int:
                 f"fidelity {r['fidelity']:.8f}\n"
             )
     if opts["out"] or opts["format"] == "json":
-        meta = {"command": "swap", "nbar": cfg.nbar, "eps": cfg.epsilon, "eta": cfg.eta}
+        meta = {"command": "swap", "nbar": cfg.nbar, "eps": cfg.epsilon, "eta": cfg.eta, "k": cfg.k}
         write_table(rows, ["outcome", "probability", "herald", "fidelity"], meta, opts["format"], opts["out"])
     return 0
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rabi_surface)
 
     p = sub.add_parser("channel-fidelity", help="Bell-channel fidelity vs thermal occupation")
-    _add_common(p, ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "cutoff", "tail_tol", "format", "out"])
+    _add_common(p, ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "cutoff", "tail_tol", "format", "out"])
     p.set_defaults(func=cmd_channel_fidelity)
 
     p = sub.add_parser("teleport", help="single full teleportation run")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity_surface)
 
     p = sub.add_parser("swap", help="entanglement swapping between two Bell pairs")
-    _add_common(p, ["eta", "eta_r", "nbar", "eps", "phi", "phi0", "tail_tol", "cutoff", "format", "out"])
+    _add_common(p, ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "tail_tol", "cutoff", "format", "out"])
     p.set_defaults(func=cmd_swap)
 
     p = sub.add_parser("run-script", help="execute a pulse script")

@@ -42,7 +42,8 @@ class PulseSpec:
 
     ``area`` is the target pulse area |Omega_ref| * t in radians; the actual
     duration is (1 + epsilon) * area / |Omega_ref| with the reference Rabi
-    factor taken at the ground sector (0, 0).
+    factor taken at the ground sector (0, 0). Phases, area and imprecision
+    must be finite.
     """
 
     phi: float
@@ -54,6 +55,10 @@ class PulseSpec:
     def __post_init__(self) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        for name in ("phi", "phi0", "area", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.area > 0:
             raise ValueError("pulse area must be positive")
         if not self.epsilon > -1:

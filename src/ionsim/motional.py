@@ -89,8 +89,8 @@ def rabi_grid(k: int, cutoff: int, cutoff_r: int, p: ModeParams) -> np.ndarray:
 def matched_nbar_r(nbar: float, nu_ratio: float = NU_RATIO_DEFAULT) -> float:
     """Stretch-mode mean occupation at the temperature fixed by the CM mean
     occupation: nbar_r = 1 / ((1/nbar + 1)**(nu_r/nu) - 1)."""
-    if nbar < 0:
-        raise ValueError("mean occupation must be nonnegative")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {nbar!r}")
     if nbar == 0:
         return 0.0
     # evaluate in log space; for tiny nbar the denominator overflows while

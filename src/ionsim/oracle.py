@@ -1,7 +1,14 @@
 """Brute-force references that the tests hold the production routes to:
 the full truncated-space Hamiltonian and its dense exponential, the
 Lamb-Dicke coupling factors, the thermal channel and the measurement sector
-by sector, the trap-B correction level by level and the full-space pair run.
+by sector, the trap-B correction level by level, and the pair run of ions 2
+and 3 both over the full space and sector by sector. The sector-by-sector
+route keeps a thermal register as arrays over the S sectors of
+``ThermalSpec.weights.ravel()``: one initial register shared by all sectors,
+the (S, 4, 4) sector pulse unitaries (``_sector_unitaries``) and the S
+weights, so a pulse is one ``register.apply`` (``analyzer_pulse``) and a
+measurement one weighted einsum (``_posteriors``). Production reaches the
+same posteriors through three thermal moments (``protocol._bell_terms``).
 No other module of the package imports this one.
 """
 
@@ -12,8 +19,9 @@ import math
 import numpy as np
 
 from . import linalg, protocol
-from .dynamics import PulseSpec, carrier_rotation, drive_sign, mixing_operator
+from .dynamics import PulseSpec, carrier_rotation, drive_sign, ld_pulse_unitary, mixing_operator, sector_unitary
 from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre, rabi_grid
+from .register import apply, split_pair
 
 
 def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
@@ -81,6 +89,48 @@ def coupling_factor(k: int, n: int, n_r: int, p: ModeParams) -> float:
     return gauss * ratio * laguerre(n, k, p.eta**2) * laguerre(n_r, 0, p.eta_r**2)
 
 
+def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
+    """The (S, 4, 4) pulse unitaries of the S thermal sectors."""
+    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *protocol._sector_rabi(thermal, pulse, modes))
+
+
+def analyzer_pulse(
+    register: np.ndarray,
+    thermal: ThermalSpec,
+    pulse: PulseSpec,
+    modes: ModeParams,
+    pair: tuple[int, int] = (0, 1),
+    n_qubits: int = 3,
+) -> np.ndarray:
+    """Apply the disentangling pulse to ions ``pair`` of the register shared
+    by every thermal sector, with the full (n, n_r) dependence of the
+    sideband drive: the (S, 2**n_qubits) registers of the S sectors."""
+    return apply(_sector_unitaries(thermal, pulse, modes), register, pair, n_qubits)
+
+
+def _posteriors(register: np.ndarray, weights: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
+    """Unnormalised posteriors of the unmeasured ions, in ``OUTCOMES`` order."""
+    branches = split_pair(register, pair, n_qubits)
+    return np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
+
+
+def _pair_run(
+    initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec | None, modes: ModeParams | None
+) -> np.ndarray:
+    """Pulse ions 2 and 3 of the 4-ion register ``initial`` sector by sector
+    and measure them: the posteriors of ions 1 and 4 mixed over the thermal
+    sectors, a (4, 4, 4) array in ``OUTCOMES`` order of trace p_o. Without
+    ``thermal`` the pulse acts in the Lamb-Dicke limit, as one sector of
+    weight 1."""
+    if thermal is None:
+        u = ld_pulse_unitary(pulse.k, pulse.phi, pulse.phi0, (1 + pulse.epsilon) * pulse.area)
+        register, weights = apply(u, initial, (1, 2), 4)[None], np.ones(1)
+    else:
+        register = analyzer_pulse(initial, thermal, pulse, modes, (1, 2), 4)
+        weights = thermal.weights.ravel()
+    return _posteriors(register, weights, (1, 2), 4)
+
+
 def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
     """Drive both ions from |dd> with one pulse in every thermal Fock sector:
     the (S, 4) amplitudes, one row per sector of ``thermal.weights.ravel()``.
@@ -88,7 +138,7 @@ def prepare_channel(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -
     The |du>, |ud> amplitudes stay exactly zero: the double-sideband drive
     preserves the electronic parity blocks.
     """
-    return protocol._sector_unitaries(thermal, pulse, modes)[:, :, 0]
+    return _sector_unitaries(thermal, pulse, modes)[:, :, 0]
 
 
 def channel_fidelity_pipeline(
@@ -114,7 +164,7 @@ def measure_and_condition(
     the posterior density operator of the unmeasured ions; an outcome of zero
     probability is flagged empty rather than raising.
     """
-    return protocol._outcome_states(protocol._posteriors(register, weights, pair, n_qubits))
+    return protocol._outcome_states(_posteriors(register, weights, pair, n_qubits))
 
 
 def trap_b_correction(axis: str, state: np.ndarray, nbar_b: float, eta_b: float, epsilon: float) -> np.ndarray:
@@ -132,7 +182,7 @@ def trap_b_correction(axis: str, state: np.ndarray, nbar_b: float, eta_b: float,
 
 
 def pair_run(initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec, modes: ModeParams) -> np.ndarray:
-    """The thermal ``protocol._pair_run`` of the 4-ion register ``initial``
+    """The thermal ``_pair_run`` of the 4-ion register ``initial``
     by one dense matrix exponential of the pulse's full Hamiltonian on ions
     2, 3 and both trap-A modes, traced over the motion: the posteriors of
     ions 1 and 4, a (4, 4, 4) array in ``OUTCOMES`` order of trace p_o."""

@@ -13,13 +13,9 @@ one fixed M (``dynamics.mixing_operator``) and the sector's signed mixing
 angle a, so trap A enters the channel fidelity and every teleport report
 only through the three thermal sums of cos^2 a, sin^2 a and cos a sin a
 (``_sector_moments``): O(S) float work for S sectors, against three fixed
-(4, 4, 4) contractions per (k, phases) (``_bell_terms``).
-
-The swaps still run the register route: a thermal register is a set of
-arrays over the S sectors of ``ThermalSpec.weights.ravel()``, one initial
-register shared by all sectors, the (S, 4, 4) sector pulse unitaries and the
-S weights. A pulse is one ``register.apply`` and a measurement one weighted
-einsum; the Lamb-Dicke swap runs it with one unitary of weight 1.
+(4, 4, 4) contractions per pulse and second pair (``_bell_terms``). The
+swaps run the same pair run on Phi+ x Phi+, the Lamb-Dicke swap as one
+sector of weight 1.
 
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
 with d ordered before u. The correction and the swap herald of every
@@ -36,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .dynamics import PAULI, PulseSpec, drive_sign, ld_pulse_unitary, mixing_operator, sector_unitary
+from .dynamics import PAULI, PulseSpec, drive_sign, ld_pulse_unitary, mixing_operator
 from .motional import (
     ModeParams,
     TAIL_TOL_DEFAULT,
@@ -306,11 +302,6 @@ def _sector_moments(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -
     return np.array([w @ (c * c), w @ (s * s), w @ (c * s)])
 
 
-def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
-    """The (S, 4, 4) pulse unitaries of the S thermal sectors."""
-    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *_sector_rabi(thermal, pulse, modes))
-
-
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:
     """Overlap of the thermally prepared channel with ``channel_target_state``
     by the closed form F = sum_s w_s (1 + s sin(2 a_s))/2 = 1/2 + s C_cs, with
@@ -318,26 +309,6 @@ def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) 
     ``_sector_moments`` and s = -drive_sign(k) the sign of the ideal angle
     (see ``ld_pulse_unitary``)."""
     return float(0.5 - drive_sign(pulse.k) * _sector_moments(thermal, pulse, modes)[2])
-
-
-def analyzer_pulse(
-    register: np.ndarray,
-    thermal: ThermalSpec,
-    pulse: PulseSpec,
-    modes: ModeParams,
-    pair: tuple[int, int] = (0, 1),
-    n_qubits: int = 3,
-) -> np.ndarray:
-    """Apply the disentangling pulse to ions ``pair`` of the register shared
-    by every thermal sector, with the full (n, n_r) dependence of the
-    sideband drive: the (S, 2**n_qubits) registers of the S sectors."""
-    return apply(_sector_unitaries(thermal, pulse, modes), register, pair, n_qubits)
-
-
-def _posteriors(register: np.ndarray, weights: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """Unnormalised posteriors of the unmeasured ions, in ``OUTCOMES`` order."""
-    branches = split_pair(register, pair, n_qubits)
-    return np.einsum("s,soi,soj->oij", weights, branches, branches.conj())
 
 
 def _outcome_states(posteriors: np.ndarray) -> list[OutcomeState]:
@@ -449,35 +420,23 @@ def score_outcomes(
     return probs, fids, aggregate
 
 
-def _pair_run(
-    initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec | None, modes: ModeParams | None
-) -> np.ndarray:
-    """Pulse ions 2 and 3 of the 4-ion register ``initial`` and measure them:
-    the posteriors of ions 1 and 4 mixed over the thermal sectors, a
-    (4, 4, 4) array in ``OUTCOMES`` order of trace p_o. Without ``thermal``
-    the pulse acts in the Lamb-Dicke limit, as one sector of weight 1."""
-    if thermal is None:
-        u = ld_pulse_unitary(pulse.k, pulse.phi, pulse.phi0, (1 + pulse.epsilon) * pulse.area)
-        register, weights = apply(u, initial, (1, 2), 4)[None], np.ones(1)
-    else:
-        register = analyzer_pulse(initial, thermal, pulse, modes, (1, 2), 4)
-        weights = thermal.weights.ravel()
-    return _posteriors(register, weights, (1, 2), 4)
+@lru_cache(maxsize=64)
+def _bell_terms(k: int, phi: float, phi0: float, phi_b: float | None) -> np.ndarray:
+    """The three (4, 4, 4) contractions T0, T1, T2 of the pair run of a pulse
+    of order ``k`` and phases ``phi``, ``phi0`` on ions 2, 3 of Phi+(ions 1, 2)
+    x a second pair on ions 3, 4: the trap-B channel
+    ``channel_target_state(k, phi_b)`` of a teleport, or Phi+ of a swap for
+    ``phi_b`` None. Read-only and cached per pulse and second pair.
 
-
-@lru_cache(maxsize=32)
-def _bell_terms(k: int, phases: PhaseConfig) -> np.ndarray:
-    """The three (4, 4, 4) contractions T0, T1, T2 of the Bell-pair run of
-    ``_bell_channel``, read-only and cached.
-
-    With B0 the outcome rows (``split_pair``) of psi0 = Phi+(ions 1, 2) x
-    channel(ions 3, 4) and B1 those of -i M psi0, M the ``mixing_operator``
-    of the analyzer on ions 2, 3, a sector of mixing angle a leaves the rows
-    cos a B0 + sin a B1 up to a phase, so T0 = B0 B0^+, T1 = B1 B1^+ and
-    T2 = B0 B1^+ + B1 B0^+ per outcome.
+    With B0 the outcome rows (``split_pair``) of the initial register psi0
+    and B1 those of -i M psi0, M the ``mixing_operator`` of the pulse, a
+    sector of mixing angle a leaves the rows cos a B0 + sin a B1 up to a
+    phase, so T0 = B0 B0^+, T1 = B1 B1^+ and T2 = B0 B1^+ + B1 B0^+ per
+    outcome, and the posteriors of ions 1, 4 are C_cc T0 + C_ss T1 + C_cs T2.
     """
-    psi0 = np.kron(BELL_STATES["phi+"], channel_target_state(k, phases.phi_b))
-    flip = -1j * mixing_operator(k, phases.phi_a, phases.phi0_a)
+    second = BELL_STATES["phi+"] if phi_b is None else channel_target_state(k, phi_b)
+    psi0 = np.kron(BELL_STATES["phi+"], second)
+    flip = -1j * mixing_operator(k, phi, phi0)
     b = split_pair(np.stack([psi0, apply(flip, psi0, (1, 2), 4)]), (1, 2), 4)
     outer = np.einsum("aoi,boj->aboij", b, b.conj())
     terms = np.stack([outer[0, 0], outer[1, 1], outer[0, 1] + outer[1, 0]])
@@ -487,16 +446,17 @@ def _bell_terms(k: int, phases: PhaseConfig) -> np.ndarray:
 
 def _bell_channel(cfg: TeleportConfig) -> np.ndarray:
     """Probability-weighted posteriors J_o of ions 1 and 4 from the pair run
-    on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction, as
-    C_cc T0 + C_ss T1 + C_cs T2 from the ``_sector_moments`` of the analyzer
-    and the ``_bell_terms``; ``_pair_run`` on the same register is the
-    sector-by-sector reference.
+    on Phi+(ions 1, 2) x channel(ions 3, 4), before the correction, from the
+    ``_sector_moments`` of the analyzer and the ``_bell_terms``;
+    ``oracle._pair_run`` on the same register is the sector-by-sector
+    reference.
 
     J_o is the Choi state of the uncorrected channel E_o from the input ion
     to the receiving ion.
     """
+    phases = cfg.phases
     moments = _sector_moments(cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes())
-    return np.tensordot(moments, _bell_terms(cfg.k, cfg.phases), 1)
+    return np.tensordot(moments, _bell_terms(cfg.k, phases.phi_a, phases.phi0_a, phases.phi_b), 1)
 
 
 def _teleport(
@@ -567,8 +527,11 @@ def entanglement_swap(
     Starting from Phi+ on ions 1,2 and Phi+ on ions 3,4, the pulse on ions
     2,3 and their measurement herald on ions 1,4 the pair that ``swap_heralds``
     derives for the pulse, which scores the branch. Without a thermal
-    distribution the pulse acts in the Lamb-Dicke limit; with one, every Fock
-    sector of the trap hosting ions 2 and 3 is mixed in.
+    distribution the pulse acts in the Lamb-Dicke limit, as one sector of
+    weight 1; with one, every Fock sector of the trap hosting ions 2 and 3 is
+    mixed in. Either way the posteriors of ions 1, 4 are the pulse's three
+    moments contracted with its ``_bell_terms`` on Phi+ x Phi+;
+    ``oracle._pair_run`` is the sector-by-sector reference.
     """
     if phases is None:
         phases = PhaseConfig()
@@ -576,8 +539,13 @@ def entanglement_swap(
         pulse = PulseSpec(phi=phases.phi_a, phi0=phases.phi0_a)
     if thermal is not None and modes is None:
         raise ValueError("thermal swap requires mode parameters")
-    initial = np.kron(BELL_STATES["phi+"], BELL_STATES["phi+"])
-    outcomes = _outcome_states(_pair_run(initial, pulse, thermal, modes))
+    if thermal is None:
+        a = -drive_sign(pulse.k) * (1 + pulse.epsilon) * pulse.area
+        moments = np.array([math.cos(a) ** 2, math.sin(a) ** 2, math.cos(a) * math.sin(a)])
+    else:
+        moments = _sector_moments(thermal, pulse, modes)
+    terms = _bell_terms(pulse.k, pulse.phi, pulse.phi0, None)
+    outcomes = _outcome_states(np.tensordot(moments, terms, 1))
     heralds = swap_heralds(pulse.k, replace(phases, phi_a=pulse.phi, phi0_a=pulse.phi0))
     results = []
     for oc in outcomes:

@@ -161,6 +161,29 @@ class TestSwap:
         fids = [row["fidelity"] for row in payload["rows"]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert all(f < 1.0 for f in fids)
+        assert payload["meta"]["k"] == 1
+
+
+class TestSidebandOrder:
+    """``--k`` reaches the swap and the channel: both are exact at nbar = 0."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ideal_swap(self, capsys, k):
+        code, out, _ = run_cli(["swap", "--nbar", "0", "--k", str(k), "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["k"] == k
+        assert len(payload["rows"]) == 4
+        for row in payload["rows"]:
+            assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ideal_channel(self, capsys, k):
+        code, out, _ = run_cli(["channel-fidelity", "--nbar", "0", "--k", str(k)], capsys)
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert meta["k"] == str(k)
+        assert [float(r["fidelity"]) for r in rows] == [pytest.approx(1.0, abs=1e-12)]
 
 
 class TestRunScript:

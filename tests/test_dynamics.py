@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,14 @@ class TestSectorEvolve:
             PulseSpec(phi=0.0, phi0=0.0, epsilon=-1.0)
         with pytest.raises(ValueError):
             PulseSpec(phi=0.0, phi0=0.0, k=-1)
+
+    @pytest.mark.parametrize("field", ["phi", "phi0", "area", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pulse_spec_rejects_non_finite(self, field, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+                PulseSpec(**{"phi": 0.0, "phi0": 0.0, field: value})
 
 
 class TestBuildHeff:

@@ -160,6 +160,11 @@ class TestMatchedNbarR:
     def test_zero_temperature_limit(self):
         assert matched_nbar_r(0.0) == 0.0
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative(self, nbar):
+        with pytest.raises(ValueError, match="mean occupation must be finite and nonnegative"):
+            matched_nbar_r(nbar)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 20.0, allow_nan=False), st.floats(0.001, 1.0))
     def test_strictly_increasing(self, nbar, step):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionsim import linalg
@@ -13,6 +13,8 @@ from ionsim.dynamics import PulseSpec, carrier_rotation, ld_pulse_unitary
 from ionsim.motional import ModeParams, rabi_grid, thermal_distribution, cutoff_for, matched_nbar_r
 from ionsim.oracle import (
     _pair_generator,
+    _pair_run,
+    analyzer_pulse,
     channel_fidelity_pipeline,
     measure_and_condition,
     pair_run,
@@ -28,10 +30,8 @@ from ionsim.protocol import (
     TeleportConfig,
     _bell_channel,
     _bell_terms,
-    _pair_run,
     _rotate_ion3,
     _trap_b_sums,
-    analyzer_pulse,
     channel_fidelity,
     channel_target_state,
     correction_axes,
@@ -343,8 +343,8 @@ class TestDerivedTables:
         state = channel_target_state(1, PHASES.phi_b)
         assert state is channel_target_state(1, PHASES.phi_b)
         assert not state.flags.writeable
-        terms = _bell_terms(1, PHASES)
-        assert terms is _bell_terms(1, PHASES)
+        terms = _bell_terms(1, PHASES.phi_a, PHASES.phi0_a, PHASES.phi_b)
+        assert terms is _bell_terms(1, PHASES.phi_a, PHASES.phi0_a, PHASES.phi_b)
         assert not terms.flags.writeable
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -618,6 +618,35 @@ class TestSwapOracle:
         branches = state.reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
         reference = np.einsum("oi,oj->oij", branches, branches.conj())
         self.assert_matches(entanglement_swap(pulse, phases), reference, swap_heralds(k, phases))
+
+
+class TestSwapMoments:
+    """The moments swap equals the sector-by-sector register run of
+    ``oracle._pair_run`` at the default cutoffs, for pulses whose phases differ
+    from the ``PhaseConfig`` and whose area is not pi/4."""
+
+    PHASE = st.floats(-math.pi, math.pi)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 4), phi=PHASE, phi0=PHASE, phases=TestSwapOracle.PHASES,
+           area=st.floats(0.1, 3.0).filter(lambda a: abs(a - math.pi / 4) > 0.1),
+           epsilon=st.floats(-0.05, 0.05), nbar=st.floats(0.0, 5.0), eta=st.floats(0.05, 0.3))
+    def test_matches_register_run(self, k, phi, phi0, phases, area, epsilon, nbar, eta):
+        assume(phi != phases.phi_a and phi0 != phases.phi0_a)
+        pulse = PulseSpec(phi=phi, phi0=phi0, k=k, area=area, epsilon=epsilon)
+        cfg = TeleportConfig(eta=eta, nbar=nbar)
+        initial = np.kron(BELL_STATES["phi+"], BELL_STATES["phi+"])
+        heralds = swap_heralds(k, replace(phases, phi_a=phi, phi0_a=phi0))
+        for thermal, modes in ((cfg.thermal(), cfg.modes()), (None, None)):
+            reference = _pair_run(initial, pulse, thermal, modes)
+            TestSwapOracle.assert_matches(entanglement_swap(pulse, phases, thermal, modes), reference, heralds)
+
+    def test_teleport_and_swap_terms_are_cached_apart(self):
+        phases = PhaseConfig(phi0_a=0.3)
+        key = (2, phases.phi_a, phases.phi0_a)
+        teleport, swap = _bell_terms(*key, phases.phi_b), _bell_terms(*key, None)
+        assert teleport is _bell_terms(*key, phases.phi_b) and swap is _bell_terms(*key, None)
+        assert np.max(np.abs(teleport - swap)) > 0.1
 
 
 class TestWarmTrap:
