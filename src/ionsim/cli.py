@@ -83,7 +83,8 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return repr(obj)
+        # complex(): numpy 2 reprs an np.complex128 as "np.complex128(...)"
+        return repr(complex(obj))
     return obj
 
 
@@ -315,32 +316,20 @@ def cmd_run_script(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
     cfg = _teleport_config(opts)
     script = parse_pulse_script(Path(args.script).read_text())
-    max_ion = 0
-    measures = []
-    for st in script.statements:
-        ions = (st.ion,) if isinstance(st, RotateStatement) else st.ions
-        max_ion = max(max_ion, *ions)
-        if isinstance(st, MeasureStatement):
-            measures.append(st)
-    n_ions = max(3, max_ion)
+    ions = [st.ion if isinstance(st, RotateStatement) else max(st.ions) for st in script.statements]
+    n_ions = max([3, *ions])
+    measures = [st for st in script.statements if isinstance(st, MeasureStatement)]
     input_spec = opts["input_state"]
     if input_spec == "average":
         input_spec = "z+"
     q = InputQubit.from_spec(input_spec)
-    initial = q.vector
-    for _ in range(n_ions - 1):
-        initial = np.kron(initial, np.array([1.0, 0.0], dtype=complex))
-    result = execute_script(script, n_ions, initial, cfg.phases)
-
-    branches = []
-    for b in result.branches:
-        branches.append(
-            {
-                "outcomes": [f"ions {i},{j}: {label}" for (i, j), label in b.outcomes],
-                "probability": b.probability,
-                "amplitudes": None if b.amplitudes is None else [repr(a) for a in b.amplitudes],
-            }
-        )
+    # ions 2 and up start in |d>
+    result = execute_script(script, n_ions, np.kron(q.vector, np.eye(2 ** (n_ions - 1))[0]), cfg.phases)
+    branches = [
+        {"outcomes": [f"ions {i},{j}: {label}" for (i, j), label in b.outcomes],
+         "probability": b.probability, "amplitudes": b.amplitudes}
+        for b in result.branches
+    ]
     payload: dict = {"meta": {"command": "run-script", "n_ions": n_ions,
                               "input_state": opts["input_state"]},
                      "branches": branches}

@@ -38,11 +38,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= HERMITIAN_TOL:
             raise ValueError(f"fidelity argument has trace {tr:.6g}, expected 1")
-    val = float(np.trace(rho @ sigma).real)
-    if -1e-9 <= val < 0.0:
-        return 0.0
-    if 1.0 < val <= 1.0 + 1e-9:
-        return 1.0
-    if not 0.0 <= val <= 1.0:
+    return clamp_fidelity(float(np.trace(rho @ sigma).real))
+
+
+def clamp_fidelity(val: float) -> float:
+    """A computed fidelity clamped into [0, 1] within a rounding slack of
+    1e-9; ValueError beyond it."""
+    if not -1e-9 <= val <= 1.0 + 1e-9:
         raise ValueError(f"fidelity {val:.6g} outside [0, 1] beyond rounding slack")
-    return val
+    return min(max(val, 0.0), 1.0)

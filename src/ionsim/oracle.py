@@ -9,7 +9,9 @@ the (S, 4, 4) sector pulse unitaries (``_sector_unitaries``) and the S
 weights, so a pulse is one ``register.apply`` (``analyzer_pulse``) and a
 measurement one weighted einsum (``_posteriors``). Production reaches the
 same posteriors through three thermal moments (``protocol._bell_terms``).
-No other module of the package imports this one.
+``execute_script_per_branch`` runs a pulse script one branch register at a
+time, where production batches the live branches. No other module of the
+package imports this one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from . import linalg, protocol
 from .dynamics import PulseSpec, carrier_rotation, drive_sign, ld_pulse_unitary, mixing_operator, sector_unitary
 from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre, rabi_grid
-from .register import apply, split_pair
+from .protocol import PhaseConfig
+from .pulsescript import Branch, MeasureStatement, PulseScript, PulseStatement, ScriptError, ScriptResult
+from .register import EMPTY_PROB, OUTCOMES, apply, collapse_pair, split_pair
 
 
 def mat_exp(h: np.ndarray, t: float) -> np.ndarray:
@@ -193,3 +197,55 @@ def pair_run(initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec, modes:
     pair = np.asarray(initial).reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
     full = oracle_evolve(np.kron(pair, np.eye(n_sectors)), h, t).reshape(4, n_sectors, 4, n_sectors)
     return np.einsum("s,omis,omjs->oij", thermal.weights.ravel(), full, full.conj())
+
+
+def execute_script_per_branch(
+    script: PulseScript,
+    n_ions: int,
+    initial: np.ndarray,
+    phases: PhaseConfig | None = None,
+) -> ScriptResult:
+    """``pulsescript.execute_script`` branch by branch: one ``apply`` per
+    live branch and statement and one ``collapse_pair`` per live branch and
+    measurement, each on its own register of 2**n_ions amplitudes."""
+    if phases is None:
+        phases = PhaseConfig()
+    state = np.asarray(initial, dtype=complex)
+    if state.shape != (2**n_ions,):
+        raise ValueError(f"initial state must have {2**n_ions} amplitudes")
+    branches = [Branch(probability=1.0, amplitudes=state.copy())]
+
+    def check_ion(ion: int, line: int) -> int:
+        if ion > n_ions:
+            raise ScriptError(f"ion {ion} exceeds register size {n_ions}", line, 1)
+        return ion - 1
+
+    for st in script.statements:
+        if isinstance(st, MeasureStatement):
+            pair = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
+            split: list[Branch] = []
+            for b in branches:
+                if b.amplitudes is None:
+                    split.append(b)
+                    continue
+                probs, collapsed = collapse_pair(b.amplitudes, pair, n_ions)
+                for label, p, amps in zip(OUTCOMES, probs.tolist(), collapsed):
+                    outcomes = b.outcomes + [(st.ions, label)]
+                    if p <= EMPTY_PROB:
+                        split.append(Branch(0.0, None, outcomes))
+                    else:
+                        split.append(Branch(b.probability * p, amps, outcomes))
+            branches = split
+            continue
+        if isinstance(st, PulseStatement):
+            qubits = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
+            phi = st.phi if st.phi is not None else phases.phi_a
+            phi0 = st.phi0 if st.phi0 is not None else phases.phi0_a
+            op = ld_pulse_unitary(st.k, phi, phi0, (1 + st.eps) * st.area)
+        else:
+            qubits = (check_ion(st.ion, st.line),)
+            op = carrier_rotation(st.axis, st.angle, epsilon=st.eps)
+        for b in branches:
+            if b.amplitudes is not None:
+                b.amplitudes = apply(op, b.amplitudes, qubits, n_ions)
+    return ScriptResult(n_ions=n_ions, branches=branches)

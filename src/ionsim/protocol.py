@@ -530,7 +530,8 @@ def entanglement_swap(
     distribution the pulse acts in the Lamb-Dicke limit, as one sector of
     weight 1; with one, every Fock sector of the trap hosting ions 2 and 3 is
     mixed in. Either way the posteriors of ions 1, 4 are the pulse's three
-    moments contracted with its ``_bell_terms`` on Phi+ x Phi+;
+    moments contracted with its ``_bell_terms`` on Phi+ x Phi+, and the pure
+    herald t scores a branch of posterior J_o as <t|J_o|t>/p_o;
     ``oracle._pair_run`` is the sector-by-sector reference.
     """
     if phases is None:
@@ -553,6 +554,6 @@ def entanglement_swap(
         if oc.empty:
             results.append(SwapOutcome(oc.label, 0.0, np.zeros((4, 4), complex), herald, 0.0))
             continue
-        f = linalg.fidelity(linalg.projector(target), oc.state)
+        f = linalg.clamp_fidelity(float(np.vdot(target, oc.state @ target).real))
         results.append(SwapOutcome(oc.label, oc.probability, oc.state, herald, f))
     return results

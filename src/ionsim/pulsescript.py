@@ -10,7 +10,9 @@ Ion numbers are 1-based. Execution models the electronic register only:
 pulses act in the Lamb-Dicke limit (every sector mixes as the ground sector,
 which only k = 1 nears at small eta) and rotations on the motional ground
 state, so a script is a pulse-algebra check rather than a thermal simulation. A measurement splits
-the run into its four outcome branches; later statements apply per branch.
+every live branch into its four outcome branches. The live branches are the
+rows of one register array, so each later statement applies to all of them
+at once; an empty branch keeps its place and labels but is never split again.
 """
 
 from __future__ import annotations
@@ -98,9 +100,12 @@ def _parse_int(value: str, name: str, line: int, col: int) -> int:
 
 def _parse_float(value: str, name: str, line: int, col: int) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ScriptError(f"{name} expects a number, got {value!r}", line, col) from None
+    if not math.isfinite(x):
+        raise ScriptError(f"{name} must be finite, got {value!r}", line, col)
+    return x
 
 
 def _option(values: dict[str, tuple[str, int]], key: str, parse, default, line: int):
@@ -216,14 +221,22 @@ def execute_script(
 ) -> ScriptResult:
     """Run a parsed script on an ``n_ions`` electronic register.
 
-    ``phases`` supplies the default phi/phi0 of pulses that omit them.
+    ``phases`` supplies the default phi/phi0 of pulses that omit them. The
+    live branches are the rows of one (B, 2**n_ions) array, so a pulse or
+    rotation is one ``apply`` and a measurement one ``collapse_pair`` on all
+    of them; ``oracle.execute_script_per_branch`` is the per-branch reference.
     """
     if phases is None:
         phases = PhaseConfig()
     state = np.asarray(initial, dtype=complex)
     if state.shape != (2**n_ions,):
         raise ValueError(f"initial state must have {2**n_ions} amplitudes")
-    branches = [Branch(probability=1.0, amplitudes=state.copy())]
+    norm = float(np.vdot(state, state).real)
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"initial state has norm {norm!r}, expected 1")
+    amps = state[None].copy()
+    # every branch with whether it is live; the live ones own the rows of amps, in order
+    branches = [(Branch(probability=1.0, amplitudes=None), True)]
 
     def check_ion(ion: int, line: int) -> int:
         if ion > n_ions:
@@ -233,18 +246,17 @@ def execute_script(
     for st in script.statements:
         if isinstance(st, MeasureStatement):
             pair = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
-            split: list[Branch] = []
-            for b in branches:
-                if b.amplitudes is None:
-                    split.append(b)
+            probs, collapsed = collapse_pair(amps, pair, n_ions)
+            amps = collapsed.reshape(-1, 2**n_ions)[probs.ravel() > EMPTY_PROB]
+            rows, split = iter(probs.tolist()), []
+            for b, live in branches:
+                if not live:
+                    split.append((b, False))
                     continue
-                probs, collapsed = collapse_pair(b.amplitudes, pair, n_ions)
-                for label, p, amps in zip(OUTCOMES, probs.tolist(), collapsed):
+                for label, p in zip(OUTCOMES, next(rows)):
                     outcomes = b.outcomes + [(st.ions, label)]
-                    if p <= EMPTY_PROB:
-                        split.append(Branch(0.0, None, outcomes))
-                    else:
-                        split.append(Branch(b.probability * p, amps, outcomes))
+                    kept = p > EMPTY_PROB
+                    split.append((Branch(b.probability * p if kept else 0.0, None, outcomes), kept))
             branches = split
             continue
         if isinstance(st, PulseStatement):
@@ -255,7 +267,7 @@ def execute_script(
         else:
             qubits = (check_ion(st.ion, st.line),)
             op = carrier_rotation(st.axis, st.angle, epsilon=st.eps)
-        for b in branches:
-            if b.amplitudes is not None:
-                b.amplitudes = apply(op, b.amplitudes, qubits, n_ions)
-    return ScriptResult(n_ions=n_ions, branches=branches)
+        amps = apply(op, amps, qubits, n_ions)
+    for b, row in zip([b for b, live in branches if live], amps):
+        b.amplitudes = row
+    return ScriptResult(n_ions=n_ions, branches=[b for b, _ in branches])

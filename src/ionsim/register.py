@@ -20,7 +20,7 @@ EMPTY_PROB = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _axes(qubits: tuple[int, ...], n_qubits: int, lead: int = 0) -> tuple[tuple, tuple]:
+def _axes(qubits: tuple[int, ...], n_qubits: int, lead: int) -> tuple[tuple, tuple]:
     """Axis order that brings ``qubits`` to the front of a register, and its
     inverse, both behind ``lead`` leading axes that stay in place."""
     front = qubits + tuple(q for q in range(n_qubits) if q not in qubits)
@@ -30,10 +30,12 @@ def _axes(qubits: tuple[int, ...], n_qubits: int, lead: int = 0) -> tuple[tuple,
 
 
 def _front(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Amplitudes as a (2**len(qubits), 2**(n-len(qubits))) matrix whose row
-    indexes ``qubits``; the remaining qubits keep their order."""
-    t = amps.reshape((2,) * n_qubits).transpose(_axes(qubits, n_qubits)[0])
-    return t.reshape(2 ** len(qubits), -1)
+    """Amplitudes as a (..., 2**len(qubits), 2**(n-len(qubits))) array whose
+    second-to-last axis indexes ``qubits``; the remaining qubits keep their
+    order and leading axes of independent registers are kept."""
+    lead = amps.shape[:-1]
+    t = amps.reshape(lead + (2,) * n_qubits).transpose(_axes(qubits, n_qubits, len(lead))[0])
+    return t.reshape(lead + (2 ** len(qubits), -1))
 
 
 def _back(t: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -46,7 +48,9 @@ def _back(t: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
 
 def apply(op: np.ndarray, amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Apply a 2x2 operator to ``qubits = (q,)`` or a 4x4 operator to
-    ``qubits = (i, j)``, with i's level the slower index of the operator."""
+    ``qubits = (i, j)``, with i's level the slower index of the operator.
+    Leading axes of ``amps`` (independent registers) and of ``op`` (a stack
+    of operators) broadcast."""
     return _back(op @ _front(amps, qubits, n_qubits), qubits, n_qubits)
 
 
@@ -55,20 +59,19 @@ def split_pair(amps: np.ndarray, pair: tuple[int, int], n_qubits: int) -> np.nda
     ``pair`` in ``OUTCOMES`` order, as a (..., 4, 2**(n-2)) array that may
     share memory with ``amps``; leading axes of independent registers are
     kept."""
-    lead = amps.shape[:-1]
-    t = amps.reshape(lead + (2,) * n_qubits).transpose(_axes(pair, n_qubits, len(lead))[0])
-    return t.reshape(lead + (4, -1))
+    return _front(amps, pair, n_qubits)
 
 
 def collapse_pair(
     amps: np.ndarray, pair: tuple[int, int], n_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of the four outcomes of measuring ``pair`` and the four
-    collapsed, renormalised registers (rows of a (4, 2**n) array). The
-    register of an empty outcome is zero."""
+    collapsed, renormalised registers: (..., 4) and (..., 4, 2**n) arrays
+    for registers ``amps`` of shape (..., 2**n). The register of an empty
+    outcome is zero."""
     v = split_pair(amps, pair, n_qubits)
-    probs = np.einsum("oi,oi->o", v.conj(), v).real
-    scale = np.divide(1.0, np.sqrt(probs), out=np.zeros(4), where=probs > EMPTY_PROB)
-    full = np.zeros((4, 4, v.shape[1]), dtype=complex)
-    full[range(4), range(4)] = v * scale[:, None]
+    probs = np.einsum("...oi,...oi->...o", v.conj(), v).real
+    scale = np.divide(1.0, np.sqrt(probs), out=np.zeros(probs.shape), where=probs > EMPTY_PROB)
+    full = np.zeros(v.shape[:-2] + (4, 4, v.shape[-1]), dtype=complex)
+    full[..., range(4), range(4), :] = v * scale[..., None]
     return probs, _back(full, pair, n_qubits)

@@ -9,6 +9,7 @@ import pytest
 from ionsim import cli
 from ionsim.motional import ModeParams
 from ionsim.protocol import PhaseConfig, TeleportConfig
+from ionsim.pulsescript import execute_script, parse_pulse_script
 
 TELEPORT_SCRIPT = "pulse ions=2,3\npulse ions=1,2\nmeasure ions=1,2\n"
 
@@ -208,6 +209,18 @@ class TestRunScript:
         assert scripted["aggregate"] == pytest.approx(direct["aggregate"], abs=1e-12)
         for label, p in direct["outcome_probs"].items():
             assert scripted["outcome_probs"][label] == pytest.approx(p, abs=1e-12)
+
+    def test_json_amplitudes_parse_back_to_branch_registers(self, capsys, tmp_path):
+        script = tmp_path / "teleport.ps"
+        script.write_text(TELEPORT_SCRIPT)
+        code, out, _ = run_cli(["run-script", str(script), "--input-state", "0.6,0.8", "--format", "json"], capsys)
+        assert code == 0
+        initial = np.kron([0.6, 0.8], [1, 0, 0, 0]).astype(complex)
+        want = execute_script(parse_pulse_script(TELEPORT_SCRIPT), 3, initial, PhaseConfig()).branches
+        got = json.loads(out)["branches"]
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert np.array_equal([complex(a) for a in g["amplitudes"]], w.amplitudes)
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         script = tmp_path / "bad.ps"

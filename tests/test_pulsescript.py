@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ionsim.oracle import execute_script_per_branch
 from ionsim.protocol import PhaseConfig, channel_target_state
 from ionsim.pulsescript import (
     MeasureStatement,
@@ -89,6 +92,17 @@ class TestParser:
         with pytest.raises(ScriptError, match="distinct"):
             parse_pulse_script("measure ions=2,2")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "prefix, key",
+        [("pulse ions=1,2 ", "area"), ("pulse ions=1,2 ", "phi"), ("pulse ions=1,2 ", "phi0"),
+         ("pulse ions=1,2 ", "eps"), ("rotate ion=1 axis=x ", "angle"), ("rotate ion=1 axis=x angle=1 ", "eps")],
+    )
+    def test_non_finite_number_rejected_with_location(self, prefix, key, value):
+        with pytest.raises(ScriptError, match=rf"{key} must be finite, got '{value}'") as err:
+            parse_pulse_script(f"# comment\n{prefix}{key}={value}")
+        assert (err.value.line, err.value.col) == (2, len(prefix) + 1)
+
 
 class TestExecutor:
     def _ground_register(self, q, n_ions=3):
@@ -139,3 +153,58 @@ class TestExecutor:
         script = parse_pulse_script("rotate ion=5 axis=x angle=1.0")
         with pytest.raises(ScriptError, match="exceeds register size"):
             execute_script(script, 3, self._ground_register(np.array([1.0, 0.0])), PHASES)
+
+    @pytest.mark.parametrize(
+        "initial, norm",
+        [([1, 1, 0, 0], "2.0"), ([math.nan, 0, 0, 0], "nan"), ([math.inf, 0, 0, 0], "(nan|inf)"),
+         ([0.6, 0.8 + 1e-11, 0, 0], "1.0000000000"), ([0, 0, 0, 0], "0.0")],
+    )
+    def test_initial_state_must_be_finite_and_normalised(self, initial, norm):
+        script = parse_pulse_script("pulse ions=1,2\nmeasure ions=1,2")
+        with pytest.raises(ValueError, match=f"initial state has norm {norm}"):
+            execute_script(script, 2, np.array(initial, dtype=complex), PHASES)
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+
+
+def _statements(n_ions):
+    """Pulse, rotate and measure lines on an ``n_ions`` register; the phases
+    of a pulse are left to the ``PhaseConfig`` at random."""
+    pair = st.lists(st.integers(1, n_ions), min_size=2, max_size=2, unique=True).map(lambda p: f"{p[0]},{p[1]}")
+    option = lambda key, values: st.one_of(st.just(""), values.map(lambda v: f" {key}={v!r}"))
+    pulse = st.builds(lambda ions, *opts: f"pulse ions={ions}" + "".join(opts), pair,
+                      option("k", st.integers(1, 3)), option("area", st.floats(0.1, 3.0)),
+                      option("phi", ANGLE), option("phi0", ANGLE), option("eps", st.floats(-0.05, 0.05)))
+    rotate = st.builds(lambda ion, axis, angle, eps: f"rotate ion={ion} axis={axis} angle={angle!r}{eps}",
+                       st.integers(1, n_ions), st.sampled_from("xyz"), ANGLE, option("eps", st.floats(-0.05, 0.05)))
+    measure = pair.map(lambda ions: f"measure ions={ions}")
+    return st.one_of(pulse, rotate, measure) if n_ions >= 2 else rotate
+
+
+class TestBatchedExecutor:
+    """``execute_script`` runs every live branch as one row of a single
+    register array; it equals the branch-by-branch reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_ions=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), remeasure=st.booleans())
+    def test_equals_per_branch_reference(self, data, n_ions, seed, remeasure):
+        lines = data.draw(st.lists(_statements(n_ions), max_size=6))
+        if remeasure and n_ions >= 2:
+            # a z rotation keeps ion 2 collapsed, so measuring it again leaves empty branches
+            at = data.draw(st.integers(0, len(lines)))
+            lines[at:at] = ["measure ions=2,1", "rotate ion=2 axis=z angle=0.7", "measure ions=1,2"]
+        script = parse_pulse_script("\n".join(lines))
+        rng = np.random.default_rng(seed)
+        initial = rng.normal(size=2**n_ions) + 1j * rng.normal(size=2**n_ions)
+        initial /= np.linalg.norm(initial)
+        got = execute_script(script, n_ions, initial, PHASES).branches
+        want = execute_script_per_branch(script, n_ions, initial, PHASES).branches
+        assert [b.outcomes for b in got] == [b.outcomes for b in want]
+        assert [b.amplitudes is None for b in got] == [b.amplitudes is None for b in want]
+        for g, w in zip(got, want):
+            assert abs(g.probability - w.probability) <= 1e-12
+            if w.amplitudes is not None:
+                assert np.max(np.abs(g.amplitudes - w.amplitudes)) <= 1e-12
+        if remeasure and n_ions >= 2:
+            assert any(b.amplitudes is None for b in got)

@@ -68,3 +68,26 @@ def test_empty_outcome_collapses_to_zero():
     assert probs.tolist() == [0.0, 1.0, 0.0, 0.0]
     assert np.array_equal(collapsed[1], psi)
     assert not collapsed[[0, 2, 3]].any()
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 5])
+def test_leading_axes_equal_per_row_results(n_qubits):
+    rng = np.random.default_rng(200 + n_qubits)
+    rows = np.stack([[random_state(rng, 2**n_qubits) for _ in range(3)] for _ in range(2)])
+    rows[1, 2] = np.eye(2**n_qubits)[1]  # a basis state: three empty outcomes on every pair
+    pairs = list(itertools.permutations(range(n_qubits), 2))
+    for qubits in [(q,) for q in range(n_qubits)] + pairs:
+        d = 2 ** len(qubits)
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = apply(op, rows, qubits, n_qubits)
+        assert got.shape == rows.shape
+        for idx in np.ndindex(rows.shape[:-1]):
+            assert np.max(np.abs(got[idx] - apply(op, rows[idx], qubits, n_qubits))) <= 1e-14, (qubits, idx)
+    for pair in pairs:
+        probs, collapsed = collapse_pair(rows, pair, n_qubits)
+        assert probs.shape == (2, 3, 4) and collapsed.shape == (2, 3, 4, 2**n_qubits)
+        for idx in np.ndindex(rows.shape[:-1]):
+            p, c = collapse_pair(rows[idx], pair, n_qubits)
+            assert np.max(np.abs(probs[idx] - p)) <= 1e-15, (pair, idx)
+            assert np.max(np.abs(collapsed[idx] - c)) <= 1e-14, (pair, idx)
+        assert not collapsed[1, 2][probs[1, 2] == 0].any()
