@@ -319,10 +319,7 @@ def cmd_run_script(args: argparse.Namespace) -> int:
     ions = [st.ion if isinstance(st, RotateStatement) else max(st.ions) for st in script.statements]
     n_ions = max([3, *ions])
     measures = [st for st in script.statements if isinstance(st, MeasureStatement)]
-    input_spec = opts["input_state"]
-    if input_spec == "average":
-        input_spec = "z+"
-    q = InputQubit.from_spec(input_spec)
+    q = InputQubit.from_spec("z+" if opts["input_state"] == "average" else opts["input_state"])
     # ions 2 and up start in |d>
     result = execute_script(script, n_ions, np.kron(q.vector, np.eye(2 ** (n_ions - 1))[0]), cfg.phases)
     branches = [

@@ -248,7 +248,8 @@ def execute_script(
             pair = (check_ion(st.ions[0], st.line), check_ion(st.ions[1], st.line))
             probs, collapsed = collapse_pair(amps, pair, n_ions)
             amps = collapsed.reshape(-1, 2**n_ions)[probs.ravel() > EMPTY_PROB]
-            rows, split = iter(probs.tolist()), []
+            rows = iter(probs.tolist())
+            split = []
             for b, live in branches:
                 if not live:
                     split.append((b, False))
