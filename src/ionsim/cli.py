@@ -4,19 +4,21 @@ Subcommands: rabi-surface, channel-fidelity, teleport, fidelity-surface,
 swap, run-script. Tables are emitted as CSV (with a ``# key=value`` metadata
 comment block) or as one JSON object with ``meta`` and ``rows``; the report
 commands print JSON alone when ``--format json`` comes without ``--out``.
-Flag values override config-file values, which override built-in defaults;
-config files are flat ``key = value`` text. Every run is a
-:class:`~ionsim.protocol.TeleportConfig`, which resolves the derived
-parameters and rejects invalid ones; rows follow grid order.
+Flag values override config-file values, which override the defaults of
+:class:`~ionsim.protocol.TeleportConfig`; config files are flat
+``key = value`` text. Every run is a ``TeleportConfig``, which resolves the
+derived parameters and rejects invalid ones; rows follow grid order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,40 +35,27 @@ from .pulsescript import (
     parse_pulse_script,
 )
 
-DEFAULTS = {
-    "eta": 0.2,
-    "eta_r": None,
-    "nbar": 0.0,
-    "eps": 0.0,
-    "k": 1,
-    "phi": None,
-    "phi0": protocol.DEFAULT_PHI0,
-    "cutoff": None,
-    "tail_tol": 1e-6,
-    "input_state": "average",
-    "format": "csv",
-    "out": None,
-    "seed": None,
-    "grid": None,
-}
+#: Defaults of the options that are not TeleportConfig fields; an unset
+#: physics option leaves its field at the dataclass default.
+DEFAULTS = {"input_state": "average", "format": "csv"}
 
-#: Every option: its argparse settings, whose ``type`` also casts config-file values.
+#: Every option: the TeleportConfig (or PhaseConfig) fields it sets, and its
+#: argparse settings, whose ``type`` also casts config-file values.
 _FLAGS = {
-    "eta": dict(type=float, help="CM Lamb-Dicke parameter"),
-    "eta_r": dict(type=float, dest="eta_r", help="relative-mode Lamb-Dicke parameter"),
-    "nbar": dict(type=str, help="CM mean occupation (comma list for channel-fidelity)"),
-    "eps": dict(type=float, help="pulse-area imprecision factor"),
-    "k": dict(type=int, help="sideband order"),
-    "phi": dict(type=float, help="Raman phase (both traps)"),
-    "phi0": dict(type=float, help="equilibrium-separation phase"),
-    "grid": dict(type=str, help="grid spec, e.g. nbar=0:0.2:20,eta=0.05:0.25:20"),
-    "cutoff": dict(type=int, help="Fock cutoff override (both modes)"),
-    "tail_tol": dict(type=float, dest="tail_tol", help="thermal tail tolerance"),
-    "input_state": dict(type=str, dest="input_state",
-                        help="input state: average, z+/z-/x+/x-/y+/y-, or alpha,beta"),
-    "format": dict(type=str, choices=["csv", "json"], help="output format"),
-    "out": dict(type=str, help="output path (default stdout)"),
-    "seed": dict(type=int, help="seed for the demo outcome sampler"),
+    "eta": (("eta",), dict(type=float, help="CM Lamb-Dicke parameter")),
+    "eta_r": (("eta_r",), dict(type=float, help="relative-mode Lamb-Dicke parameter")),
+    "nbar": (("nbar",), dict(type=str, help="CM mean occupation (comma list for channel-fidelity)")),
+    "eps": (("epsilon",), dict(type=float, help="pulse-area imprecision factor")),
+    "k": (("k",), dict(type=int, help="sideband order")),
+    "phi": (("phi_a", "phi_b"), dict(type=float, help="Raman phase (both traps)")),
+    "phi0": (("phi0_a", "phi0_b"), dict(type=float, help="equilibrium-separation phase")),
+    "grid": ((), dict(type=str, help="grid spec, e.g. nbar=0:0.2:20,eta=0.05:0.25:20")),
+    "cutoff": (("cutoff", "cutoff_r"), dict(type=int, help="Fock cutoff override (both modes)")),
+    "tail_tol": (("tail_tol",), dict(type=float, help="thermal tail tolerance")),
+    "input_state": ((), dict(type=str, help="input state: average, z+/z-/x+/x-/y+/y-, or alpha,beta")),
+    "format": ((), dict(type=str, choices=["csv", "json"], help="output format")),
+    "out": ((), dict(type=str, help="output path (default stdout)")),
+    "seed": ((), dict(type=int, help="seed for the demo outcome sampler")),
 }
 
 
@@ -88,6 +77,17 @@ def _plain(obj):
     return obj
 
 
+def _json(obj) -> str:
+    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; '#' comments and blank lines ignored."""
     values: dict[str, str] = {}
@@ -107,10 +107,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_options(args: argparse.Namespace, overrides: dict | None = None) -> dict:
     """The options the subcommand of ``args`` takes, by precedence: command
-    line > config file > built-in default."""
-    from_file: dict[str, str] = {}
-    if getattr(args, "config", None):
-        from_file = parse_config_file(args.config)
+    line > config file > ``overrides`` > :data:`DEFAULTS`; None when unset."""
+    from_file = parse_config_file(args.config) if args.config else {}
     defaults = {**DEFAULTS, **(overrides or {})}
     out = {}
     for key in (name for name in _FLAGS if hasattr(args, name)):
@@ -118,7 +116,7 @@ def resolve_options(args: argparse.Namespace, overrides: dict | None = None) -> 
         if given is not None:
             out[key] = given
         elif key in from_file:
-            out[key] = _FLAGS[key]["type"](from_file[key])
+            out[key] = _FLAGS[key][1]["type"](from_file[key])
         else:
             out[key] = defaults.get(key)
     if out.get("format", "csv") not in ("csv", "json"):
@@ -138,31 +136,39 @@ def write_table(rows: list[dict], columns: list[str], meta: dict, fmt: str, out:
             writer.writerow([_plain(row[c]) for c in columns])
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps({"meta": meta, "rows": _plain(rows)}, indent=2, sort_keys=True) + "\n"
+        text = _json({"meta": meta, "rows": rows})
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, out)
 
 
-def _parse_grid(spec: str, expect: dict[str, tuple]) -> dict:
-    """Parse 'name=start:stop[:count],...' against expected axis names.
+def _report(opts: dict, lines: list[str], write) -> None:
+    """Emit a report command: the text ``lines`` on standard output, and
+    ``write(path)`` its machine-readable form to ``--out``. With ``--format
+    json`` and no ``--out``, standard output carries that form alone."""
+    json_only = opts["format"] == "json" and not opts["out"]
+    if not json_only:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+    if opts["out"] or json_only:
+        write(opts["out"])
 
-    Integer axes (count omitted) produce inclusive index ranges; float axes
-    produce ``count`` evenly spaced points.
+
+def _parse_grid(spec: str, axes: dict[str, str]) -> dict:
+    """Parse 'name=start:stop[:count],...' over ``axes``, which maps each axis
+    name to its default range.
+
+    An axis whose default reads start:stop takes inclusive integer ranges;
+    one whose default reads start:stop:count takes ``count`` evenly spaced points.
     """
-    axes = dict(expect)
     out = {}
-    parts = [p for p in spec.split(",") if p.strip()] if spec.strip() else []
-    for part in parts:
+    for part in [f"{name}={rng}" for name, rng in axes.items()] + spec.split(","):
+        if not part.strip():
+            continue
         name, _, rng = part.strip().partition("=")
         if name not in axes:
             raise ValueError(f"unknown grid axis {name!r}; expected {sorted(axes)}")
         pieces = rng.split(":")
-        kind = axes[name][0]
-        if kind == "int":
+        if axes[name].count(":") == 1:
             if len(pieces) != 2:
                 raise ValueError(f"grid axis {name!r} expects start:stop")
             lo, hi = int(pieces[0]), int(pieces[1])
@@ -176,9 +182,29 @@ def _parse_grid(spec: str, expect: dict[str, tuple]) -> dict:
             if count < 1:
                 raise ValueError(f"grid axis {name!r} needs at least one point")
             out[name] = [float(v) for v in np.linspace(lo, hi, count)]
-    for name, (_, default) in axes.items():
-        out.setdefault(name, default)
     return out
+
+
+def _teleport_config(opts: dict, **point) -> TeleportConfig:
+    """The run described by the options that were set, with ``point`` (a grid
+    point's ``nbar`` and ``eta``) taking precedence; every other field keeps
+    its dataclass default."""
+    fields = {field: value for key, value in {**opts, **point}.items() if value is not None
+              for field in _FLAGS[key][0]}
+    if "nbar" in fields:
+        fields["nbar"] = float(fields["nbar"])
+    phases = {f.name: fields.pop(f.name) for f in dataclasses.fields(PhaseConfig) if f.name in fields}
+    return TeleportConfig(**fields, phases=PhaseConfig(**phases))
+
+
+def _warn_once(caught: list, points: int, tail_tol: float) -> None:
+    """Re-emit the warnings a sweep recorded, its thermal truncations folded into one."""
+    tails = [w.message.tail_mass for w in caught if hasattr(w.message, "tail_mass")]
+    for w in (w for w in caught if not hasattr(w.message, "tail_mass")):
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if tails:
+        warnings.warn(f"thermal truncation leaves tail mass > {tail_tol:.0e} at {len(tails)} of "
+                      f"{points} grid points (largest {max(tails):.3e})")
 
 
 # --------------------------------------------------------------------------
@@ -188,36 +214,19 @@ def _parse_grid(spec: str, expect: dict[str, tuple]) -> dict:
 def cmd_rabi_surface(args: argparse.Namespace) -> int:
     opts = resolve_options(args, overrides={"eta": 0.15})
     modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
-    grid = _parse_grid(opts["grid"] or "", {"n": ("int", list(range(26))), "nr": ("int", list(range(26)))})
-    rabi = rabi_grid(opts["k"], grid["n"][-1], grid["nr"][-1], modes).tolist()
+    k = TeleportConfig.k if opts["k"] is None else opts["k"]
+    grid = _parse_grid(opts["grid"] or "", {"n": "0:25", "nr": "0:25"})
+    rabi = rabi_grid(k, grid["n"][-1], grid["nr"][-1], modes).tolist()
     rows = [{"n": n, "n_r": nr, "rabi": rabi[n][nr]} for n in grid["n"] for nr in grid["nr"]]
-    meta = {"command": "rabi-surface", "eta": modes.eta, "eta_r": modes.eta_r, "k": opts["k"],
+    meta = {"command": "rabi-surface", "eta": modes.eta, "eta_r": modes.eta_r, "k": k,
             "n_range": f"{grid['n'][0]}..{grid['n'][-1]}", "nr_range": f"{grid['nr'][0]}..{grid['nr'][-1]}"}
     write_table(rows, ["n", "n_r", "rabi"], meta, opts["format"], opts["out"])
     return 0
 
 
-def _teleport_config(opts: dict, **point) -> TeleportConfig:
-    """The run described by resolved options, with ``point`` (a grid point's
-    ``nbar`` and ``eta``) taking precedence; options a subcommand does not
-    take keep their built-in defaults."""
-    o = {**DEFAULTS, **opts, **point}
-    return TeleportConfig(
-        eta=o["eta"],
-        eta_r=o["eta_r"],
-        nbar=float(o["nbar"]),
-        epsilon=o["eps"],
-        phases=PhaseConfig(phi0_a=o["phi0"], phi0_b=o["phi0"], phi_a=o["phi"], phi_b=o["phi"]),
-        k=o["k"],
-        tail_tol=o["tail_tol"],
-        cutoff=o["cutoff"],
-        cutoff_r=o["cutoff"],
-    )
-
-
 def cmd_channel_fidelity(args: argparse.Namespace) -> int:
     opts = resolve_options(args, overrides={"nbar": "0.2,1,5"})
-    configs = [_teleport_config(opts, nbar=v) for v in str(opts["nbar"]).split(",")]
+    configs = [_teleport_config(opts, nbar=v) for v in opts["nbar"].split(",")]
     rows = [
         {"nbar": cfg.nbar, "nbar_r": cfg.nbar_r,
          "fidelity": protocol.channel_fidelity(cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes())}
@@ -232,60 +241,44 @@ def cmd_channel_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: protocol.FidelityReport, stream) -> None:
-    p = report.params
-    stream.write("teleportation report\n")
-    stream.write(f"  input state: {report.input_state}\n")
-    stream.write(
-        f"  nbar={p['nbar']:.6g} nbar_r={p['nbar_r']:.6g} nbar_b={p['nbar_b']:.6g} "
-        f"eta={p['eta']:.6g} eta_r={p['eta_r']:.6g} eps={p['epsilon']:.6g}\n"
-    )
-    stream.write("  outcome  probability    fidelity\n")
-    for o in OUTCOMES:
-        stream.write(f"  {o}       {report.outcome_probs[o]:<12.8f}  {report.outcome_fidelities[o]:.8f}\n")
-    stream.write(f"  aggregate fidelity: {report.aggregate:.8f}\n")
-
-
-def _json_only(opts: dict) -> bool:
-    """``--format json`` without ``--out``: standard output carries only JSON."""
-    return opts["format"] == "json" and not opts["out"]
-
-
 def cmd_teleport(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
     report = protocol.teleport_fidelity(opts["input_state"], _teleport_config(opts))
-    payload = json.dumps(_plain(report.to_dict()), indent=2, sort_keys=True) + "\n"
-    if _json_only(opts):
-        sys.stdout.write(payload)
-    else:
-        _print_report(report, sys.stdout)
-        if opts["seed"] is not None:
-            rng = np.random.default_rng(opts["seed"])
-            probs = [report.outcome_probs[o] for o in OUTCOMES]
-            sampled = rng.choice(len(OUTCOMES), p=np.array(probs) / sum(probs))
-            sys.stdout.write(f"  sampled outcome (seed={opts['seed']}): {OUTCOMES[sampled]}\n")
-    if opts["out"]:
-        Path(opts["out"]).write_text(payload)
+    p = report.params
+    lines = [
+        "teleportation report",
+        f"  input state: {report.input_state}",
+        f"  nbar={p['nbar']:.6g} nbar_r={p['nbar_r']:.6g} nbar_b={p['nbar_b']:.6g} "
+        f"eta={p['eta']:.6g} eta_r={p['eta_r']:.6g} eps={p['epsilon']:.6g}",
+        "  outcome  probability    fidelity",
+        *(f"  {o}       {report.outcome_probs[o]:<12.8f}  {report.outcome_fidelities[o]:.8f}"
+          for o in OUTCOMES),
+        f"  aggregate fidelity: {report.aggregate:.8f}",
+    ]
+    if opts["seed"] is not None:
+        rng = np.random.default_rng(opts["seed"])
+        probs = [report.outcome_probs[o] for o in OUTCOMES]
+        sampled = rng.choice(len(OUTCOMES), p=np.array(probs) / sum(probs))
+        lines.append(f"  sampled outcome (seed={opts['seed']}): {OUTCOMES[sampled]}")
+    _report(opts, lines, lambda out: _emit(_json(report.to_dict()), out))
     return 0
 
 
 def cmd_fidelity_surface(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
-    grid = _parse_grid(
-        opts["grid"] or "",
-        {
-            "nbar": ("float", [float(v) for v in np.linspace(0.0, 0.2, 20)]),
-            "eta": ("float", [float(v) for v in np.linspace(0.05, 0.25, 20)]),
-        },
-    )
-    rows = [
-        {"nbar": nb, "eta": et, "fidelity": protocol.teleport_fidelity(
-            opts["input_state"], _teleport_config(opts, nbar=nb, eta=et)).aggregate}
-        for nb in grid["nbar"]
-        for et in grid["eta"]
-    ]
-    meta = {"command": "fidelity-surface", "eps": opts["eps"], "input_state": opts["input_state"],
-            "tail_tol": opts["tail_tol"], "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
+    grid = _parse_grid(opts["grid"] or "", {"nbar": "0:0.2:20", "eta": "0.05:0.25:20"})
+    cfg = _teleport_config(opts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = [
+            {"nbar": nb, "eta": et, "fidelity": protocol.teleport_fidelity(
+                opts["input_state"], _teleport_config(opts, nbar=nb, eta=et)).aggregate}
+            for nb in grid["nbar"]
+            for et in grid["eta"]
+        ]
+    _warn_once(caught, len(rows), cfg.tail_tol)
+    meta = {"command": "fidelity-surface", "eps": cfg.epsilon, "input_state": opts["input_state"],
+            "tail_tol": cfg.tail_tol, "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
             "nbar_points": len(grid["nbar"]), "eta_points": len(grid["eta"])}
     write_table(rows, ["nbar", "eta", "fidelity"], meta, opts["format"], opts["out"])
     return 0
@@ -299,27 +292,25 @@ def cmd_swap(args: argparse.Namespace) -> int:
         {"outcome": oc.label, "probability": oc.probability, "herald": oc.herald, "fidelity": oc.fidelity}
         for oc in outcomes
     ]
-    if not _json_only(opts):
-        sys.stdout.write("entanglement swapping report\n")
-        for r in rows:
-            sys.stdout.write(
-                f"  outcome {r['outcome']}: p={r['probability']:.8f} heralds {r['herald']} "
-                f"fidelity {r['fidelity']:.8f}\n"
-            )
-    if opts["out"] or opts["format"] == "json":
-        meta = {"command": "swap", "nbar": cfg.nbar, "eps": cfg.epsilon, "eta": cfg.eta, "k": cfg.k}
-        write_table(rows, ["outcome", "probability", "herald", "fidelity"], meta, opts["format"], opts["out"])
+    lines = ["entanglement swapping report"]
+    lines += [f"  outcome {r['outcome']}: p={r['probability']:.8f} heralds {r['herald']} "
+              f"fidelity {r['fidelity']:.8f}" for r in rows]
+    meta = {"command": "swap", "nbar": cfg.nbar, "eps": cfg.epsilon, "eta": cfg.eta, "k": cfg.k}
+    _report(opts, lines, lambda out: write_table(
+        rows, ["outcome", "probability", "herald", "fidelity"], meta, opts["format"], out))
     return 0
 
 
 def cmd_run_script(args: argparse.Namespace) -> int:
-    opts = resolve_options(args)
+    opts = resolve_options(args, overrides={"input_state": "z+"})
+    if opts["input_state"].strip().lower() == "average":
+        raise ValueError("run-script starts ion 1 in one input state; 'average' is not one")
     cfg = _teleport_config(opts)
     script = parse_pulse_script(Path(args.script).read_text())
     ions = [st.ion if isinstance(st, RotateStatement) else max(st.ions) for st in script.statements]
     n_ions = max([3, *ions])
     measures = [st for st in script.statements if isinstance(st, MeasureStatement)]
-    q = InputQubit.from_spec("z+" if opts["input_state"] == "average" else opts["input_state"])
+    q = InputQubit.from_spec(opts["input_state"])
     # ions 2 and up start in |d>
     result = execute_script(script, n_ions, np.kron(q.vector, np.eye(2 ** (n_ions - 1))[0]), cfg.phases)
     branches = [
@@ -359,26 +350,27 @@ def cmd_run_script(args: argparse.Namespace) -> int:
         for b in result.branches:
             labels = "; ".join(f"ions {i},{j}: {lab}" for (i, j), lab in b.outcomes) or "(no measurement)"
             lines.append(f"  p={b.probability:.8f}  {labels}")
-    if not _json_only(opts):
-        sys.stdout.write("\n".join(lines) + "\n")
-
-    if opts["out"] or opts["format"] == "json":
-        text_out = json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
-        if opts["out"]:
-            Path(opts["out"]).write_text(text_out)
-        else:
-            sys.stdout.write(text_out)
+    _report(opts, lines, lambda out: _emit(_json(payload), out))
     return 0
 
 
 # --------------------------------------------------------------------------
 # parser
 
-
-def _add_common(sub: argparse.ArgumentParser, names: list[str]) -> None:
-    for name in names:
-        sub.add_argument(f"--{name.replace('_', '-')}", default=None, **_FLAGS[name])
-    sub.add_argument("--config", default=None, help="flat key=value config file")
+#: Every subcommand: its function, help line and options in ``--help`` order.
+_COMMANDS = {
+    "rabi-surface": (cmd_rabi_surface, "scaled sideband Rabi factor over the Fock grid",
+                     "eta eta_r k grid format out"),
+    "channel-fidelity": (cmd_channel_fidelity, "Bell-channel fidelity vs thermal occupation",
+                         "eta eta_r nbar eps k phi phi0 cutoff tail_tol format out"),
+    "teleport": (cmd_teleport, "single full teleportation run",
+                 "eta eta_r nbar eps k phi phi0 cutoff tail_tol input_state format out seed"),
+    "fidelity-surface": (cmd_fidelity_surface, "teleportation fidelity over an (nbar, eta) grid",
+                         "eta_r eps phi phi0 tail_tol cutoff grid input_state format out"),
+    "swap": (cmd_swap, "entanglement swapping between two Bell pairs",
+             "eta eta_r nbar eps k phi phi0 tail_tol cutoff format out"),
+    "run-script": (cmd_run_script, "execute a pulse script", "eps phi phi0 input_state format out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,34 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulator of reliable trapped-ion teleportation over dispersive sideband pulses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rabi-surface", help="scaled sideband Rabi factor over the Fock grid")
-    _add_common(p, ["eta", "eta_r", "k", "grid", "format", "out"])
-    p.set_defaults(func=cmd_rabi_surface)
-
-    p = sub.add_parser("channel-fidelity", help="Bell-channel fidelity vs thermal occupation")
-    _add_common(p, ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "cutoff", "tail_tol", "format", "out"])
-    p.set_defaults(func=cmd_channel_fidelity)
-
-    p = sub.add_parser("teleport", help="single full teleportation run")
-    _add_common(p, ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "cutoff", "tail_tol",
-                    "input_state", "format", "out", "seed"])
-    p.set_defaults(func=cmd_teleport)
-
-    p = sub.add_parser("fidelity-surface", help="teleportation fidelity over an (nbar, eta) grid")
-    _add_common(p, ["eta_r", "eps", "phi", "phi0", "tail_tol", "cutoff", "grid",
-                    "input_state", "format", "out"])
-    p.set_defaults(func=cmd_fidelity_surface)
-
-    p = sub.add_parser("swap", help="entanglement swapping between two Bell pairs")
-    _add_common(p, ["eta", "eta_r", "nbar", "eps", "k", "phi", "phi0", "tail_tol", "cutoff", "format", "out"])
-    p.set_defaults(func=cmd_swap)
-
-    p = sub.add_parser("run-script", help="execute a pulse script")
-    p.add_argument("script", help="path to the pulse script")
-    _add_common(p, ["eps", "phi", "phi0", "input_state", "format", "out"])
-    p.set_defaults(func=cmd_run_script)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            p.add_argument(f"--{option.replace('_', '-')}", default=None, **_FLAGS[option][1])
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.set_defaults(func=func)
+    sub.choices["run-script"].add_argument("script", help="path to the pulse script")
     return parser
 
 
@@ -422,11 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScriptError as exc:
-        print(f"error: script {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = "script " if isinstance(exc, ScriptError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

@@ -174,11 +174,12 @@ def thermal_distribution(
     mass = float(w.sum())
     tail = 1.0 - mass
     if tail > tail_tol:
-        warnings.warn(
+        warning = UserWarning(
             f"thermal truncation at cutoffs ({cutoff}, {cutoff_r}) leaves tail mass "
-            f"{tail:.3e} > {tail_tol:.0e}",
-            stacklevel=2,
+            f"{tail:.3e} > {tail_tol:.0e}"
         )
+        warning.tail_mass = tail  # lets a sweep fold its truncations into one warning
+        warnings.warn(warning, stacklevel=2)
     return ThermalSpec(
         nbar=nbar,
         nbar_r=nbar_r,

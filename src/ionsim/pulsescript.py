@@ -108,6 +108,20 @@ def _parse_float(value: str, name: str, line: int, col: int) -> float:
     return x
 
 
+def _parse_area(value: str, name: str, line: int, col: int) -> float:
+    x = _parse_float(value, name, line, col)
+    if not x > 0:
+        raise ScriptError("pulse area must be positive", line, col)
+    return x
+
+
+def _parse_eps(value: str, name: str, line: int, col: int) -> float:
+    x = _parse_float(value, name, line, col)
+    if not x > -1:
+        raise ScriptError("pulse-area imprecision must exceed -1", line, col)
+    return x
+
+
 def _option(values: dict[str, tuple[str, int]], key: str, parse, default, line: int):
     if key not in values:
         return default
@@ -167,10 +181,10 @@ def parse_pulse_script(text: str) -> PulseScript:
                 PulseStatement(
                     ions=ions,
                     k=k,
-                    area=_option(values, "area", _parse_float, math.pi / 4, lineno),
+                    area=_option(values, "area", _parse_area, math.pi / 4, lineno),
                     phi=_option(values, "phi", _parse_float, None, lineno),
                     phi0=_option(values, "phi0", _parse_float, None, lineno),
-                    eps=_option(values, "eps", _parse_float, 0.0, lineno),
+                    eps=_option(values, "eps", _parse_eps, 0.0, lineno),
                     line=lineno,
                 )
             )
@@ -183,7 +197,7 @@ def parse_pulse_script(text: str) -> PulseScript:
                     ion=_parse_int(values["ion"][0], "ion", lineno, values["ion"][1]),
                     axis=axis,
                     angle=_parse_float(values["angle"][0], "angle", lineno, values["angle"][1]),
-                    eps=_option(values, "eps", _parse_float, 0.0, lineno),
+                    eps=_option(values, "eps", _parse_eps, 0.0, lineno),
                     line=lineno,
                 )
             )

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,17 @@ class TestFidelitySurface:
         assert all(float(r["fidelity"]) > 0.97 for r in rows)
         assert meta["eps"] == "0.0"
 
+    def test_truncation_warns_once_per_run(self, capsys):
+        # every one of the 15 points truncates its thermal tail at cutoff 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(["fidelity-surface", "--grid", "nbar=0.5:3:5,eta=0.1:0.2:3",
+                                  "--cutoff", "4"], capsys)
+        assert code == 0
+        truncation = [str(w.message) for w in caught if "thermal truncation" in str(w.message)]
+        assert len(truncation) == 1
+        assert "at 15 of 15 grid points (largest 3.005e-01)" in truncation[0]
+
 
 class TestSwap:
     def test_ideal_report(self, capsys):
@@ -229,6 +242,23 @@ class TestRunScript:
         assert code == 1
         assert err.startswith("error: script line 1")
         assert err.count("\n") == 1
+
+    def test_default_input_state_is_the_qubit_it_ran(self, capsys, tmp_path):
+        script = tmp_path / "teleport.ps"
+        script.write_text(TELEPORT_SCRIPT)
+        code, out, _ = run_cli(["run-script", str(script), "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["input_state"] == "z+"
+        _, explicit, _ = run_cli(["run-script", str(script), "--input-state", "z+", "--format", "json"], capsys)
+        assert json.loads(explicit) == payload
+
+    def test_average_input_state_rejected(self, capsys, tmp_path):
+        script = tmp_path / "teleport.ps"
+        script.write_text(TELEPORT_SCRIPT)
+        code, out, err = run_cli(["run-script", str(script), "--input-state", "average"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'average'" in err and err.count("\n") == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(["run-script", str(tmp_path / "nope.ps")], capsys)
@@ -329,3 +359,43 @@ class TestJsonStdout:
         code, out, _ = run_cli([*argv, "--format", "json"], capsys)
         assert code == 0
         assert isinstance(json.loads(out), dict)
+
+
+#: Every subcommand's option strings, in ``--help`` order, and its positionals.
+OPTIONS = {
+    "rabi-surface": ("--eta --eta-r --k --grid --format --out", []),
+    "channel-fidelity": ("--eta --eta-r --nbar --eps --k --phi --phi0 --cutoff --tail-tol --format --out", []),
+    "teleport": ("--eta --eta-r --nbar --eps --k --phi --phi0 --cutoff --tail-tol --input-state --format "
+                 "--out --seed", []),
+    "fidelity-surface": ("--eta-r --eps --phi --phi0 --tail-tol --cutoff --grid --input-state --format --out",
+                         []),
+    "swap": ("--eta --eta-r --nbar --eps --k --phi --phi0 --tail-tol --cutoff --format --out", []),
+    "run-script": ("--eps --phi --phi0 --input-state --format --out", ["script"]),
+}
+
+#: A value off the default for every option that sets a TeleportConfig field.
+CONFIG_VALUES = {"eta": "0.15", "eta_r": "0.12", "nbar": "0.3", "eps": "0.02", "k": "2",
+                 "phi": "2.356194490192345", "phi0": "-1.2", "cutoff": "6", "tail_tol": "1e-4"}
+
+
+class TestTables:
+    def test_subcommand_options_are_pinned(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OPTIONS)
+        for name, (flags, positionals) in OPTIONS.items():
+            actions = sub.choices[name]._actions
+            got = [s for a in actions for s in a.option_strings]
+            assert got == ["-h", "--help", *flags.split(), "--config"], name
+            assert [a.dest for a in actions if not a.option_strings] == positionals, name
+
+    @pytest.mark.parametrize("key, value", list(CONFIG_VALUES.items()))
+    def test_config_key_matches_flag(self, capsys, tmp_path, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        outputs = [run_cli(["teleport", *argv, "--format", "json"], capsys)
+                   for argv in ([flag, value], ["--config", str(config)], [])]
+        assert [code for code, _, _ in outputs] == [0, 0, 0]
+        from_flag, from_file, default = (out for _, out, _ in outputs)
+        assert from_file == from_flag != default

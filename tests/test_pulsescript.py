@@ -103,6 +103,20 @@ class TestParser:
             parse_pulse_script(f"# comment\n{prefix}{key}={value}")
         assert (err.value.line, err.value.col) == (2, len(prefix) + 1)
 
+    @pytest.mark.parametrize(
+        "prefix, token, message",
+        [("pulse ions=1,2 ", "area=0", "pulse area must be positive"),
+         ("pulse ions=1,2 ", "area=-2", "pulse area must be positive"),
+         ("pulse ions=1,2 area=0.5 ", "eps=-1", "pulse-area imprecision must exceed -1"),
+         ("pulse ions=1,2 ", "eps=-3", "pulse-area imprecision must exceed -1"),
+         ("rotate ion=1 axis=x angle=1 ", "eps=-1", "pulse-area imprecision must exceed -1"),
+         ("rotate ion=1 axis=x angle=1 ", "eps=-1.5", "pulse-area imprecision must exceed -1")],
+    )
+    def test_area_and_imprecision_rejected_like_pulse_spec(self, prefix, token, message):
+        # the same bounds PulseSpec enforces, reported at the offending token
+        with pytest.raises(ScriptError, match=f"^line 2, col {len(prefix) + 1}: {message}$"):
+            parse_pulse_script(f"pulse ions=2,3\n{prefix}{token}")
+
 
 class TestExecutor:
     def _ground_register(self, q, n_ions=3):
