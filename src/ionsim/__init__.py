@@ -11,15 +11,10 @@ from .motional import (
     ThermalSpec,
     cutoff_for,
     default_eta_r,
-    laguerre,
     matched_nbar_r,
     thermal_distribution,
 )
-from .dynamics import (
-    PulseSpec,
-    carrier_rotation,
-    sector_unitary,
-)
+from .dynamics import PulseSpec, carrier_rotation
 from .protocol import (
     BELL_STATES,
     CARDINAL_STATES,
@@ -58,11 +53,9 @@ __all__ = [
     "entanglement_teleport",
     "execute_script",
     "fidelity",
-    "laguerre",
     "matched_nbar_r",
     "parse_pulse_script",
     "projector",
-    "sector_unitary",
     "teleport_fidelity",
     "thermal_distribution",
 ]

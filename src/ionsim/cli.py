@@ -55,7 +55,6 @@ _FLAGS = {
     "input_state": ((), dict(type=str, help="input state: average, z+/z-/x+/x-/y+/y-, or alpha,beta")),
     "format": ((), dict(type=str, choices=["csv", "json"], help="output format")),
     "out": ((), dict(type=str, help="output path (default stdout)")),
-    "seed": ((), dict(type=int, help="seed for the demo outcome sampler")),
 }
 
 
@@ -197,14 +196,19 @@ def _teleport_config(opts: dict, **point) -> TeleportConfig:
     return TeleportConfig(**fields, phases=PhaseConfig(**phases))
 
 
-def _warn_once(caught: list, points: int, tail_tol: float) -> None:
-    """Re-emit the warnings a sweep recorded, its thermal truncations folded into one."""
+def _warn_once(rows, tail_tol: float) -> list[dict]:
+    """The rows of a sweep, evaluated with their warnings recorded; the
+    warnings are re-emitted with the thermal truncations folded into one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = list(rows)
     tails = [w.message.tail_mass for w in caught if hasattr(w.message, "tail_mass")]
     for w in (w for w in caught if not hasattr(w.message, "tail_mass")):
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if tails:
         warnings.warn(f"thermal truncation leaves tail mass > {tail_tol:.0e} at {len(tails)} of "
-                      f"{points} grid points (largest {max(tails):.3e})")
+                      f"{len(rows)} grid points (largest {max(tails):.3e})")
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -227,12 +231,12 @@ def cmd_rabi_surface(args: argparse.Namespace) -> int:
 def cmd_channel_fidelity(args: argparse.Namespace) -> int:
     opts = resolve_options(args, overrides={"nbar": "0.2,1,5"})
     configs = [_teleport_config(opts, nbar=v) for v in opts["nbar"].split(",")]
-    rows = [
-        {"nbar": cfg.nbar, "nbar_r": cfg.nbar_r,
-         "fidelity": protocol.channel_fidelity(cfg.thermal(), cfg.analyzer_pulse_spec(), cfg.modes())}
-        for cfg in configs
-    ]
     cfg = configs[0]
+    rows = _warn_once((
+        {"nbar": c.nbar, "nbar_r": c.nbar_r,
+         "fidelity": protocol.channel_fidelity(c.thermal(), c.analyzer_pulse_spec(), c.modes())}
+        for c in configs
+    ), cfg.tail_tol)
     meta = {"command": "channel-fidelity", "eta": cfg.eta, "eta_r": cfg.modes().eta_r,
             "eps": cfg.epsilon, "k": cfg.k, "tail_tol": cfg.tail_tol,
             "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
@@ -255,11 +259,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
           for o in OUTCOMES),
         f"  aggregate fidelity: {report.aggregate:.8f}",
     ]
-    if opts["seed"] is not None:
-        rng = np.random.default_rng(opts["seed"])
-        probs = [report.outcome_probs[o] for o in OUTCOMES]
-        sampled = rng.choice(len(OUTCOMES), p=np.array(probs) / sum(probs))
-        lines.append(f"  sampled outcome (seed={opts['seed']}): {OUTCOMES[sampled]}")
     _report(opts, lines, lambda out: _emit(_json(report.to_dict()), out))
     return 0
 
@@ -268,15 +267,12 @@ def cmd_fidelity_surface(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
     grid = _parse_grid(opts["grid"] or "", {"nbar": "0:0.2:20", "eta": "0.05:0.25:20"})
     cfg = _teleport_config(opts)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = [
-            {"nbar": nb, "eta": et, "fidelity": protocol.teleport_fidelity(
-                opts["input_state"], _teleport_config(opts, nbar=nb, eta=et)).aggregate}
-            for nb in grid["nbar"]
-            for et in grid["eta"]
-        ]
-    _warn_once(caught, len(rows), cfg.tail_tol)
+    rows = _warn_once((
+        {"nbar": nb, "eta": et, "fidelity": protocol.teleport_fidelity(
+            opts["input_state"], _teleport_config(opts, nbar=nb, eta=et)).aggregate}
+        for nb in grid["nbar"]
+        for et in grid["eta"]
+    ), cfg.tail_tol)
     meta = {"command": "fidelity-surface", "eps": cfg.epsilon, "input_state": opts["input_state"],
             "tail_tol": cfg.tail_tol, "cutoff": "auto" if opts["cutoff"] is None else opts["cutoff"],
             "nbar_points": len(grid["nbar"]), "eta_points": len(grid["eta"])}
@@ -364,7 +360,7 @@ _COMMANDS = {
     "channel-fidelity": (cmd_channel_fidelity, "Bell-channel fidelity vs thermal occupation",
                          "eta eta_r nbar eps k phi phi0 cutoff tail_tol format out"),
     "teleport": (cmd_teleport, "single full teleportation run",
-                 "eta eta_r nbar eps k phi phi0 cutoff tail_tol input_state format out seed"),
+                 "eta eta_r nbar eps k phi phi0 cutoff tail_tol input_state format out"),
     "fidelity-surface": (cmd_fidelity_surface, "teleportation fidelity over an (nbar, eta) grid",
                          "eta_r eps phi phi0 tail_tol cutoff grid input_state format out"),
     "swap": (cmd_swap, "entanglement swapping between two Bell pairs",

@@ -3,9 +3,11 @@
 A simultaneous red/blue Raman pair drives, per Fock sector (n, n_r), a pair
 of two-level ions with an effective Hamiltonian that is diagonal in the
 motional labels. Evolution therefore factors into independent 4-dimensional
-electronic problems, solved here in closed form for one sector or for an
-array of sectors at once. ``ionsim.oracle`` builds the full truncated-space
-Hamiltonian that the tests check this against.
+electronic problems, each a phase times a rotation by the sector's mixing
+angle about one fixed operator (``mixing_operator``), from which the
+Lamb-Dicke-limit pulse is built. ``ionsim.oracle`` holds the per-sector
+unitary stack (``sector_unitary``), the Debye-Waller rotation of a Fock level
+n > 0 and the full truncated-space Hamiltonian the tests check these against.
 
 Electronic basis ordering for the pulsed pair is |dd>, |du>, |ud>, |uu>,
 with d the lower level and ion order matching tensor order.
@@ -24,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .motional import laguerre
 
 DOWN_DOWN, DOWN_UP, UP_DOWN, UP_UP = range(4)
 
@@ -81,58 +81,34 @@ def mixing_operator(k: int, phi: float, phi0: float) -> np.ndarray:
     double-flip raising/lowering with phase 2*phi and flip-flop exchange with
     phase phi0, the latter weighted by (-1)**k. M @ M is the identity, so the
     pulse of a sector is exp(i theta) (cos a I - i sin a M) for its signed
-    mixing angle a (see ``sector_unitary``)."""
+    mixing angle a (see ``ld_pulse_unitary``)."""
     sgn = drive_sign(k)
     m = np.zeros((4, 4), dtype=complex)
-    m[UP_UP, DOWN_DOWN] = np.exp(2j * phi)
-    m[DOWN_DOWN, UP_UP] = np.exp(-2j * phi)
-    m[UP_DOWN, DOWN_UP] = sgn * np.exp(1j * phi0)
-    m[DOWN_UP, UP_DOWN] = sgn * np.exp(-1j * phi0)
+    m[UP_UP, DOWN_DOWN] = cmath.exp(2j * phi)
+    m[DOWN_DOWN, UP_UP] = cmath.exp(-2j * phi)
+    m[UP_DOWN, DOWN_UP] = sgn * cmath.exp(1j * phi0)
+    m[DOWN_UP, UP_DOWN] = sgn * cmath.exp(-1j * phi0)
     return m
-
-
-def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:
-    """Closed-form 4x4 evolution of one Fock sector for a raw duration ``t``.
-
-    ``omega`` is the sector's scaled sideband bracket, an entry of
-    ``rabi_grid``; the (-1)**k drive sign is applied internally. A NumPy array
-    of brackets, one per sector, gives the stack of unitaries, of shape
-    omega.shape + (4, 4). The |dd>,|uu> and |du>,|ud> parity blocks never mix,
-    and the self-energy term contributes only the sector-global phase in front.
-    """
-    sgn = drive_sign(k)
-    a = sgn * omega * t
-    phase = np.exp(-1j * sgn * a)
-    diag, flip = phase * np.cos(a), phase * np.sin(a) * -1j
-    u = np.zeros(diag.shape + (4, 4), dtype=complex)
-    cols = u.T  # cols[j, i] is the entry <i|U|j> of every sector
-    cols[DOWN_DOWN, DOWN_DOWN] = cols[UP_UP, UP_UP] = diag
-    cols[DOWN_UP, DOWN_UP] = cols[UP_DOWN, UP_DOWN] = diag
-    cols[DOWN_DOWN, UP_UP] = flip * cmath.exp(2j * phi)
-    cols[UP_UP, DOWN_DOWN] = flip * cmath.exp(-2j * phi)
-    cols[DOWN_UP, UP_DOWN] = flip * (sgn * cmath.exp(1j * phi0))
-    cols[UP_DOWN, DOWN_UP] = flip * (sgn * cmath.exp(-1j * phi0))
-    return u
 
 
 def ld_pulse_unitary(k: int, phi: float, phi0: float, theta: float) -> np.ndarray:
     """Pulse unitary in the Lamb-Dicke limit: every sector mixes as (0, 0)
     does, by the area ``theta`` (imprecision included) and with the sign of
     its bracket -k! f_k(0, 0)**2 < 0. At small eta only k = 1 mixes all
-    sectors alike; for k >= 2 the bracket grows with n."""
-    return sector_unitary(k, phi, phi0, -1.0, theta)
+    sectors alike; for k >= 2 the bracket grows with n. The unitary is
+    exp(i theta) (cos a I - i sin a M) with a = -drive_sign(k) theta."""
+    a = -drive_sign(k) * theta
+    phase = cmath.exp(1j * theta)
+    u = mixing_operator(k, phi, phi0) * (-1j * math.sin(a) * phase)
+    u.flat[::5] = math.cos(a) * phase  # M has a zero diagonal
+    return u
 
 
-def carrier_rotation(
-    axis: str, angle: float, n: int = 0, eta_local: float = 0.0, epsilon: float = 0.0
-) -> np.ndarray:
-    """Single-qubit rotation about ``axis`` whose angle is rescaled by the
-    carrier Debye-Waller factor of the host trap's Fock level ``n``.
-
-    The rotation is calibrated on the n = 0 sector, so the effective angle is
-    angle * (1 + epsilon) * L_n(eta_local^2).
-    """
+def carrier_rotation(axis: str, angle: float, epsilon: float = 0.0) -> np.ndarray:
+    """Single-qubit rotation about ``axis`` by angle * (1 + epsilon), as the
+    carrier pulse acts on the Fock level n = 0 it is calibrated on;
+    ``oracle.debye_waller_rotation`` rescales it for a level n > 0."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    theta = angle * (1.0 + epsilon) * laguerre(n, 0, eta_local**2)
+    theta = angle * (1.0 + epsilon)
     return math.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * math.sin(theta / 2) * PAULI[axis]

@@ -1,5 +1,7 @@
 """Motional-mode mathematics for a two-ion crystal: associated Laguerre
-polynomials, scaled sideband Rabi factors and thermal Fock distributions.
+tables, scaled sideband Rabi factors and thermal Fock distributions, one
+weight vector per mode. The scalar Laguerre polynomial and the coupling
+factors live in ``ionsim.oracle``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ NU_RATIO_DEFAULT = math.sqrt(3.0)
 
 #: Default acceptable thermal tail mass beyond the Fock cutoff.
 TAIL_TOL_DEFAULT = 1e-6
+
+#: Most Fock sectors a grid may hold: about nbar 290 at the default tail_tol.
+MAX_SECTORS = 10**7
 
 
 def default_eta_r(eta: float, nu_ratio: float = NU_RATIO_DEFAULT) -> float:
@@ -36,12 +41,12 @@ class ModeParams:
     nu_ratio: float = NU_RATIO_DEFAULT
 
     def __post_init__(self) -> None:
+        if not self.nu_ratio > 1:
+            raise ValueError("nu_ratio must exceed 1")
         if self.eta_r is None:
             object.__setattr__(self, "eta_r", default_eta_r(self.eta, self.nu_ratio))
         if not self.eta > 0 or not self.eta_r > 0:
             raise ValueError("Lamb-Dicke parameters must be positive")
-        if not self.nu_ratio > 1:
-            raise ValueError("nu_ratio must exceed 1")
 
 
 def laguerre_table(m: int, k: int, x: float) -> np.ndarray:
@@ -53,11 +58,6 @@ def laguerre_table(m: int, k: int, x: float) -> np.ndarray:
     for j in range(1, m):
         table.append(((2 * j + k + 1 - x) * table[j] - (j + k) * table[j - 1]) / (j + 1))
     return np.array(table[: m + 1])
-
-
-def laguerre(m: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_m^k(x): entry m of ``laguerre_table``."""
-    return 1.0 if m == 0 and k >= 0 else float(laguerre_table(m, k, x)[m])
 
 
 def rabi_grid(k: int, cutoff: int, cutoff_r: int, p: ModeParams) -> np.ndarray:
@@ -75,9 +75,14 @@ def rabi_grid(k: int, cutoff: int, cutoff_r: int, p: ModeParams) -> np.ndarray:
     built elementwise, so they do not depend on the cutoffs. Measured against
     50-digit mpmath (k = 1..4, eta in {0.05, 0.15, 0.3}): max |error| <=
     3.2e-13 max |bracket| at cutoffs 80 x 46, and 2.3e-12 at 300 x 171.
+    More than ``MAX_SECTORS`` sectors raise ``ValueError`` before allocation.
     """
     if k < 0 or cutoff < 0 or cutoff_r < 0:
         raise ValueError("sideband order and Fock cutoffs must be nonnegative")
+    sectors = (cutoff + 1) * (cutoff_r + 1)
+    if sectors > MAX_SECTORS:
+        raise ValueError(f"Fock cutoffs ({cutoff}, {cutoff_r}) give {sectors:,} sectors, "
+                         f"more than the limit {MAX_SECTORS:,}")
     b = laguerre_table(cutoff, k, p.eta**2) ** 2
     for j in range(1, k + 1):
         b /= np.arange(j, cutoff + 1 + j)  # m + j for m = 0..cutoff
@@ -132,27 +137,39 @@ def thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ThermalSpec:
-    """Truncated two-mode thermal distribution over Fock labels (n, n_r).
-
-    ``weights[n, n_r]`` is renormalized to total mass one; ``tail_mass``
-    records the probability discarded by the truncation. Per-sector arrays
-    follow ``weights.ravel()``, row-major in (n, n_r): sector (n, n_r) is
-    entry n*(cutoff_r+1) + n_r.
+    """Truncated two-mode thermal distribution over Fock labels (n, n_r): the
+    product of the CM weights ``weights_n`` and the stretch weights
+    ``weights_r``, each renormalized to mass one; ``tail_mass`` records the
+    probability discarded by the truncation. Production contracts a grid f
+    of per-sector values as w_n^T f w_r. The grid ``weights`` is derived for
+    ``ionsim.oracle`` and the tests, whose per-sector arrays follow
+    ``weights.ravel()``: sector (n, n_r) is entry n*(cutoff_r+1) + n_r.
     """
 
-    nbar: float
-    nbar_r: float
-    cutoff: int
-    cutoff_r: int
-    weights: np.ndarray
+    weights_n: np.ndarray
+    weights_r: np.ndarray
     tail_mass: float
 
     def __post_init__(self) -> None:
-        if np.any(self.weights < 0):
-            raise ValueError("thermal weights must be nonnegative")
-        total = float(self.weights.sum())
-        if not abs(total - 1.0) <= 1e-14:
-            raise ValueError(f"thermal weights sum to {total!r}, expected 1")
+        for w in (self.weights_n, self.weights_r):
+            if np.any(w < 0):
+                raise ValueError("thermal weights must be nonnegative")
+            total = float(w.sum())
+            if not abs(total - 1.0) <= 1e-14:
+                raise ValueError(f"thermal weights sum to {total!r}, expected 1")
+
+    @property
+    def cutoff(self) -> int:
+        return self.weights_n.size - 1
+
+    @property
+    def cutoff_r(self) -> int:
+        return self.weights_r.size - 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (cutoff+1, cutoff_r+1) grid of sector weights."""
+        return np.outer(self.weights_n, self.weights_r)
 
 
 def thermal_distribution(
@@ -170,9 +187,9 @@ def thermal_distribution(
     """
     if cutoff_r is None:
         cutoff_r = cutoff
-    w = np.outer(thermal_weights(nbar, cutoff), thermal_weights(nbar_r, cutoff_r))
-    mass = float(w.sum())
-    tail = 1.0 - mass
+    w_n, w_r = thermal_weights(nbar, cutoff), thermal_weights(nbar_r, cutoff_r)
+    mass_n, mass_r = float(w_n.sum()), float(w_r.sum())
+    tail = 1.0 - mass_n * mass_r
     if tail > tail_tol:
         warning = UserWarning(
             f"thermal truncation at cutoffs ({cutoff}, {cutoff_r}) leaves tail mass "
@@ -180,11 +197,4 @@ def thermal_distribution(
         )
         warning.tail_mass = tail  # lets a sweep fold its truncations into one warning
         warnings.warn(warning, stacklevel=2)
-    return ThermalSpec(
-        nbar=nbar,
-        nbar_r=nbar_r,
-        cutoff=cutoff,
-        cutoff_r=cutoff_r,
-        weights=w / mass,
-        tail_mass=tail,
-    )
+    return ThermalSpec(weights_n=w_n / mass_n, weights_r=w_r / mass_r, tail_mass=tail)

@@ -1,14 +1,17 @@
 """Brute-force references that the tests hold the production routes to:
-the full truncated-space Hamiltonian and its dense exponential, the
-Lamb-Dicke coupling factors, the thermal channel and the measurement sector
-by sector, the trap-B correction level by level, and the pair run of ions 2
-and 3 both over the full space and sector by sector. The sector-by-sector
-route keeps a thermal register as arrays over the S sectors of
-``ThermalSpec.weights.ravel()``: one initial register shared by all sectors,
-the (S, 4, 4) sector pulse unitaries (``_sector_unitaries``) and the S
-weights, so a pulse is one ``register.apply`` (``analyzer_pulse``) and a
-measurement one weighted einsum (``_posteriors``). Production reaches the
-same posteriors through three thermal moments (``protocol._bell_terms``).
+the full truncated-space Hamiltonian and its dense exponential, the scalar
+Laguerre polynomial and the Lamb-Dicke coupling factors, the closed-form
+unitary of one sector or of a stack of sectors (``sector_unitary``), the
+thermal channel and the measurement sector by sector, the trap-B correction
+level by level with the Debye-Waller rotation of each Fock level, and the
+pair run of ions 2 and 3 both over the full space and sector by sector. The
+sector-by-sector route keeps a thermal register as arrays over the S sectors
+of ``ThermalSpec.weights.ravel()``: one initial register shared by all
+sectors, the (S, 4, 4) sector pulse unitaries (``_sector_unitaries``) and
+the S weights, so a pulse is one ``register.apply`` (``analyzer_pulse``) and
+a measurement one weighted einsum (``_posteriors``). Production reaches the
+same posteriors through three thermal moments, each w_n^T f w_r over the two
+mode weight vectors, and three fixed contractions (``protocol._bell_terms``).
 ``execute_script_per_branch`` runs a pulse script one branch register at a
 time, where production batches the live branches. No other module of the
 package imports this one.
@@ -16,13 +19,25 @@ package imports this one.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from . import linalg, protocol
-from .dynamics import PulseSpec, carrier_rotation, drive_sign, ld_pulse_unitary, mixing_operator, sector_unitary
-from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre, rabi_grid
+from .dynamics import (
+    DOWN_DOWN,
+    DOWN_UP,
+    PAULI,
+    UP_DOWN,
+    UP_UP,
+    PulseSpec,
+    carrier_rotation,
+    drive_sign,
+    ld_pulse_unitary,
+    mixing_operator,
+)
+from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre_table, rabi_grid
 from .protocol import PhaseConfig
 from .pulsescript import Branch, MeasureStatement, PulseScript, PulseStatement, ScriptError, ScriptResult
 from .register import EMPTY_PROB, OUTCOMES, apply, collapse_pair, split_pair
@@ -78,6 +93,11 @@ def build_heff(
     return np.kron(_pair_generator(k, phi, phi0), np.diag(diag).astype(complex))
 
 
+def laguerre(m: int, k: int, x: float) -> float:
+    """Associated Laguerre polynomial L_m^k(x): entry m of ``laguerre_table``."""
+    return 1.0 if m == 0 and k >= 0 else float(laguerre_table(m, k, x)[m])
+
+
 def coupling_factor(k: int, n: int, n_r: int, p: ModeParams) -> float:
     """Lamb-Dicke coupling factor of the k-th sideband on the Fock sector (n, n_r):
 
@@ -93,9 +113,41 @@ def coupling_factor(k: int, n: int, n_r: int, p: ModeParams) -> float:
     return gauss * ratio * laguerre(n, k, p.eta**2) * laguerre(n_r, 0, p.eta_r**2)
 
 
+def sector_unitary(k: int, phi: float, phi0: float, omega: float | np.ndarray, t: float) -> np.ndarray:
+    """Closed-form 4x4 evolution of one Fock sector for a raw duration ``t``.
+
+    ``omega`` is the sector's scaled sideband bracket, an entry of
+    ``rabi_grid``; the (-1)**k drive sign is applied internally. A NumPy array
+    of brackets, one per sector, gives the stack of unitaries, of shape
+    omega.shape + (4, 4). The |dd>,|uu> and |du>,|ud> parity blocks never mix,
+    and the self-energy term contributes only the sector-global phase in front.
+    """
+    sgn = drive_sign(k)
+    a = sgn * omega * t
+    phase = np.exp(-1j * sgn * a)
+    diag, flip = phase * np.cos(a), phase * np.sin(a) * -1j
+    u = np.zeros(diag.shape + (4, 4), dtype=complex)
+    cols = u.T  # cols[j, i] is the entry <i|U|j> of every sector
+    cols[DOWN_DOWN, DOWN_DOWN] = cols[UP_UP, UP_UP] = diag
+    cols[DOWN_UP, DOWN_UP] = cols[UP_DOWN, UP_DOWN] = diag
+    cols[DOWN_DOWN, UP_UP] = flip * cmath.exp(2j * phi)
+    cols[UP_UP, DOWN_DOWN] = flip * cmath.exp(-2j * phi)
+    cols[DOWN_UP, UP_DOWN] = flip * (sgn * cmath.exp(1j * phi0))
+    cols[UP_DOWN, DOWN_UP] = flip * (sgn * cmath.exp(-1j * phi0))
+    return u
+
+
+def _sector_rabi(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> tuple[np.ndarray, float]:
+    """Rabi factor of every thermal sector in the order of
+    ``thermal.weights.ravel()`` (entry n*(cutoff_r+1) + n_r is sector
+    (n, n_r)), and the pulse duration calibrated on the ground sector, entry 0."""
+    omega = rabi_grid(pulse.k, thermal.cutoff, thermal.cutoff_r, modes).ravel()
+    return omega, pulse.duration(omega[0])
+
+
 def _sector_unitaries(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
     """The (S, 4, 4) pulse unitaries of the S thermal sectors."""
-    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *protocol._sector_rabi(thermal, pulse, modes))
+    return sector_unitary(pulse.k, pulse.phi, pulse.phi0, *_sector_rabi(thermal, pulse, modes))
 
 
 def analyzer_pulse(
@@ -171,16 +223,28 @@ def measure_and_condition(
     return protocol._outcome_states(_posteriors(register, weights, pair, n_qubits))
 
 
+def debye_waller_rotation(
+    axis: str, angle: float, n: int, eta_local: float, epsilon: float = 0.0
+) -> np.ndarray:
+    """Single-qubit rotation about ``axis`` on Fock level ``n`` of the host
+    trap: calibrated on n = 0 (``dynamics.carrier_rotation``), its angle is
+    rescaled by the carrier Debye-Waller factor to
+    angle * (1 + epsilon) * L_n(eta_local^2)."""
+    theta = angle * (1.0 + epsilon) * laguerre(n, 0, eta_local**2)
+    return math.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * math.sin(theta / 2) * PAULI[axis]
+
+
 def trap_b_correction(axis: str, state: np.ndarray, nbar_b: float, eta_b: float, epsilon: float) -> np.ndarray:
     """The thermal mixture sum_n w_n R_n rho R_n^+ of the pi rotations R_n
-    about ``axis`` on the last qubit of ``state``, one ``carrier_rotation``
-    per Fock level n of trap B, with the Bose-Einstein weights w_n
-    renormalised over the levels up to ``cutoff_for(nbar_b)``."""
+    about ``axis`` on the last qubit of ``state``, one
+    ``debye_waller_rotation`` per Fock level n of trap B, with the
+    Bose-Einstein weights w_n renormalised over the levels up to
+    ``cutoff_for(nbar_b)``."""
     rho = np.array(state, dtype=complex)
     weights = np.array([nbar_b**n / (1 + nbar_b) ** (n + 1) for n in range(cutoff_for(nbar_b) + 1)])
     out = np.zeros_like(rho)
     for n, w in enumerate(weights / weights.sum()):
-        r = np.kron(np.eye(rho.shape[0] // 2), carrier_rotation(axis, math.pi, n, eta_b, epsilon))
+        r = np.kron(np.eye(rho.shape[0] // 2), debye_waller_rotation(axis, math.pi, n, eta_b, epsilon))
         out += w * (r @ rho @ r.conj().T)
     return out
 

@@ -158,12 +158,14 @@ class TeleportConfig:
     cutoff_b: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not 0 <= self.nbar < math.inf:
             raise ValueError(f"nbar must be finite and nonnegative, got {self.nbar!r}")
         if not abs(self.epsilon) < 1:
             raise ValueError("pulse-area imprecision must satisfy |epsilon| < 1")
+        if not self.nu_ratio > 1:
+            raise ValueError(f"nu_ratio must exceed 1, got {self.nu_ratio!r}")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
         if self.nbar_r is None:
             object.__setattr__(self, "nbar_r", matched_nbar_r(self.nbar, self.nu_ratio))
         if self.nbar_b is None:
@@ -185,6 +187,10 @@ class TeleportConfig:
             object.__setattr__(self, "cutoff_r", cutoff_for(self.nbar_r, self.tail_tol / 2))
         if self.cutoff_b is None:
             object.__setattr__(self, "cutoff_b", cutoff_for(self.nbar_b, self.tail_tol))
+        for name, low in (("k", 1), ("cutoff", 0), ("cutoff_r", 0), ("cutoff_b", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def modes(self) -> ModeParams:
         return ModeParams(eta=self.eta, eta_r=self.eta_r, nu_ratio=self.nu_ratio)
@@ -284,22 +290,15 @@ def channel_target_state(k: int, phi: float) -> np.ndarray:
     return state
 
 
-def _sector_rabi(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> tuple[np.ndarray, float]:
-    """Rabi factor of every thermal sector in the order of
-    ``thermal.weights.ravel()`` (entry n*(cutoff_r+1) + n_r is sector
-    (n, n_r)), and the pulse duration calibrated on the ground sector, entry 0."""
-    omega = rabi_grid(pulse.k, thermal.cutoff, thermal.cutoff_r, modes).ravel()
-    return omega, pulse.duration(omega[0])
-
-
 def _sector_moments(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> np.ndarray:
     """The thermal sums (C_cc, C_ss, C_cs) = sum_s w_s (cos^2 a_s, sin^2 a_s,
     cos a_s sin a_s) over the signed mixing angles a_s = drive_sign(k) Omega_s t
-    of the sectors, the angles of ``sector_unitary``."""
-    omega, t = _sector_rabi(thermal, pulse, modes)
-    a = drive_sign(pulse.k) * t * omega
-    c, s, w = np.cos(a), np.sin(a), thermal.weights.ravel()
-    return np.array([w @ (c * c), w @ (s * s), w @ (c * s)])
+    of the sectors (those of ``oracle.sector_unitary``), t calibrated on the
+    ground sector, each as w_n^T f(a) w_r over the two mode weight vectors."""
+    omega = rabi_grid(pulse.k, thermal.cutoff, thermal.cutoff_r, modes)
+    a = drive_sign(pulse.k) * pulse.duration(omega[0, 0]) * omega
+    c, s = np.cos(a), np.sin(a)
+    return np.array([thermal.weights_n @ f @ thermal.weights_r for f in (c * c, s * s, c * s)])
 
 
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:

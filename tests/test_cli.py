@@ -98,6 +98,15 @@ class TestChannelFidelity:
             values.append(float(rows[0]["fidelity"]))
         assert abs(values[0] - values[1]) < 1e-6
 
+    def test_truncation_warns_once_per_run(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(["channel-fidelity", "--nbar", "0.5,1,2", "--cutoff", "4"], capsys)
+        assert code == 0
+        truncation = [str(w.message) for w in caught if "thermal truncation" in str(w.message)]
+        assert len(truncation) == 1
+        assert "at 3 of 3 grid points (largest 1.576e-01)" in truncation[0]
+
 
 class TestTeleport:
     def test_ideal_json(self, capsys, tmp_path):
@@ -124,12 +133,6 @@ class TestTeleport:
         assert code == 0
         payload = json.loads(out)
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
-
-    def test_seeded_demo_sample_is_deterministic(self, capsys):
-        _, out1, _ = run_cli(["teleport", "--nbar", "0", "--seed", "11"], capsys)
-        _, out2, _ = run_cli(["teleport", "--nbar", "0", "--seed", "11"], capsys)
-        assert out1 == out2
-        assert "sampled outcome (seed=11)" in out1
 
 
 class TestFidelitySurface:
@@ -332,13 +335,17 @@ class TestInvalidInputs:
         "field, value",
         [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
         + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)]
-        + [("k", v) for v in (0, -1, 1.5, True)],
+        + [("k", v) for v in (0, -1, 1.5, True)]
+        + [(f, v) for f in ("cutoff", "cutoff_r", "cutoff_b") for v in (2.5, True, -1)]
+        + [("tail_tol", math.nan), ("nu_ratio", math.nan)],
     )
     def test_config_error_names_field(self, field, value):
         # trap-B and stretch-mode fields reach the library only, not the CLI;
-        # k must be a whole sideband order of at least 1
+        # k must be a whole sideband order of at least 1 and a cutoff a whole
+        # number of at least 0. All three cutoffs are given, so no check
+        # relies on the automatic cutoff choice.
         with pytest.raises(ValueError, match=rf"^{field} must"):
-            TeleportConfig(**{field: value})
+            TeleportConfig(**{"cutoff": 3, "cutoff_r": 3, "cutoff_b": 3, field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -366,7 +373,7 @@ OPTIONS = {
     "rabi-surface": ("--eta --eta-r --k --grid --format --out", []),
     "channel-fidelity": ("--eta --eta-r --nbar --eps --k --phi --phi0 --cutoff --tail-tol --format --out", []),
     "teleport": ("--eta --eta-r --nbar --eps --k --phi --phi0 --cutoff --tail-tol --input-state --format "
-                 "--out --seed", []),
+                 "--out", []),
     "fidelity-surface": ("--eta-r --eps --phi --phi0 --tail-tol --cutoff --grid --input-state --format --out",
                          []),
     "swap": ("--eta --eta-r --nbar --eps --k --phi --phi0 --tail-tol --cutoff --format --out", []),

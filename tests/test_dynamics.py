@@ -7,9 +7,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsim.dynamics import PAULI, PulseSpec, carrier_rotation, ld_pulse_unitary, mixing_operator, sector_unitary
-from ionsim.motional import ModeParams, laguerre, rabi_grid
-from ionsim.oracle import _pair_generator, build_heff, oracle_evolve
+from ionsim.dynamics import PAULI, PulseSpec, carrier_rotation, ld_pulse_unitary, mixing_operator
+from ionsim.motional import ModeParams, rabi_grid
+from ionsim.oracle import (
+    _pair_generator,
+    build_heff,
+    debye_waller_rotation,
+    laguerre,
+    oracle_evolve,
+    sector_unitary,
+)
 
 MODES = ModeParams(eta=0.15)
 
@@ -244,6 +251,16 @@ class TestLambDickeHamiltonian:
         u2 = ld_pulse_unitary(1, 0.8, -0.3, math.pi / 2)
         assert np.max(np.abs(u4 @ u4 - u2)) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+        st.floats(-10.0, 10.0),
+    )
+    def test_equals_sector_unitary_at_unit_bracket(self, k, phi, phi0, theta):
+        # the Lamb-Dicke pulse is the sector unitary of bracket -1 run for theta
+        u = ld_pulse_unitary(k, phi, phi0, theta)
+        assert np.max(np.abs(u - sector_unitary(k, phi, phi0, -1.0, theta))) <= 1e-14
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.6])
     def test_ground_bracket_is_negative(self, k, eta):
@@ -271,13 +288,20 @@ class TestCarrierRotation:
     def test_debye_waller_scaling(self):
         theta = math.pi * laguerre(3, 0, 0.2**2)
         expected = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * PAULI["x"]
-        got = carrier_rotation("x", math.pi, n=3, eta_local=0.2)
+        got = debye_waller_rotation("x", math.pi, 3, 0.2)
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_unitary(self):
         for axis in "xyz":
-            u = carrier_rotation(axis, 2.2, n=5, eta_local=0.25, epsilon=0.03)
+            u = debye_waller_rotation(axis, 2.2, 5, 0.25, epsilon=0.03)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from("xyz"), st.floats(-7.0, 7.0), st.floats(0.0, 0.5), st.floats(-0.1, 0.1))
+    def test_is_debye_waller_rotation_of_ground_level(self, axis, angle, eta, eps):
+        # L_0 = 1: the calibrated level n = 0 rotates by the nominal angle
+        expected = debye_waller_rotation(axis, angle, 0, eta, eps)
+        assert np.array_equal(carrier_rotation(axis, angle, eps), expected)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):

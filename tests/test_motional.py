@@ -7,20 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from ionsim import protocol
 from ionsim.dynamics import PulseSpec
 from ionsim.motional import (
     ModeParams,
     ThermalSpec,
     cutoff_for,
     default_eta_r,
-    laguerre,
     matched_nbar_r,
     rabi_grid,
     thermal_distribution,
     thermal_weights,
 )
-from ionsim.oracle import coupling_factor
+from ionsim.oracle import _sector_rabi, coupling_factor, laguerre
 
 ETA = 0.15
 MODES = ModeParams(eta=ETA)
@@ -148,6 +146,10 @@ class TestRabiGrid:
         ref = rabi_grid_oracle(k, 80, 46, p)
         assert np.max(np.abs(rabi_grid(k, 80, 46, p) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_sector_limit_raises_before_allocating(self):
+        with pytest.raises(ValueError, match="10,000,001 sectors, more than the limit 10,000,000"):
+            rabi_grid(1, 10**7, 0, MODES)
+
 
 class TestMatchedNbarR:
     @pytest.mark.parametrize(
@@ -230,7 +232,7 @@ class TestThermalDistribution:
         spec = thermal_distribution(0.5, 0.1, cutoff=3, cutoff_r=2, tail_tol=0.999)
         weights = spec.weights.ravel()
         for k in (1, 2, 3):
-            omega, _ = protocol._sector_rabi(spec, PulseSpec(phi=0.0, phi0=0.0, k=k), MODES)
+            omega, _ = _sector_rabi(spec, PulseSpec(phi=0.0, phi0=0.0, k=k), MODES)
             assert omega.shape == weights.shape == (12,)
             for n in range(4):
                 for n_r in range(3):
@@ -248,7 +250,7 @@ def test_thermal_weights_reject_nonfinite_or_negative_occupation(nbar):
 
 def test_thermal_spec_rejects_nan_weights():
     with pytest.raises(ValueError, match="expected 1"):
-        ThermalSpec(nbar=0.0, nbar_r=0.0, cutoff=1, cutoff_r=0, weights=np.array([[1.0], [np.nan]]), tail_mass=0.0)
+        ThermalSpec(weights_n=np.array([1.0, np.nan]), weights_r=np.array([1.0]), tail_mass=0.0)
 
 
 def test_thermal_weights_raw_mass():

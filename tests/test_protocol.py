@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -9,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionsim import linalg
-from ionsim.dynamics import PulseSpec, carrier_rotation, ld_pulse_unitary
+from ionsim.dynamics import PulseSpec, carrier_rotation, drive_sign, ld_pulse_unitary
 from ionsim.motional import ModeParams, rabi_grid, thermal_distribution, cutoff_for, matched_nbar_r
 from ionsim.oracle import (
     _pair_generator,
     _pair_run,
+    _sector_rabi,
     analyzer_pulse,
     channel_fidelity_pipeline,
     measure_and_condition,
@@ -31,6 +33,7 @@ from ionsim.protocol import (
     _bell_channel,
     _bell_terms,
     _rotate_ion3,
+    _sector_moments,
     _trap_b_sums,
     channel_fidelity,
     channel_target_state,
@@ -578,6 +581,18 @@ class TestBellChannelMoments:
             reference = pair_run(bell_pair_initial(cfg), cfg.analyzer_pulse_spec(), cfg.thermal(), cfg.modes())
             assert np.max(np.abs(_bell_channel(cfg) - reference)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("nbar", [0.2, 5.0, 20.0, 50.0])
+    def test_moments_equal_weight_grid_sums(self, nbar, k):
+        # w_n^T f(a) w_r against the sums over the raveled sector weight grid
+        cfg = TeleportConfig(nbar=nbar, eta=0.15, epsilon=0.05, k=k)
+        thermal, pulse = cfg.thermal(), cfg.analyzer_pulse_spec()
+        omega, t = _sector_rabi(thermal, pulse, cfg.modes())
+        a = drive_sign(k) * t * omega
+        c, s, w = np.cos(a), np.sin(a), thermal.weights.ravel()
+        expected = np.array([w @ (c * c), w @ (s * s), w @ (c * s)])
+        assert np.max(np.abs(_sector_moments(thermal, pulse, cfg.modes()) - expected)) <= 1e-12
+
 
 class TestSwapOracle:
     """Every swap equals the full-space pair run of ``ionsim.oracle`` on
@@ -660,3 +675,11 @@ class TestWarmTrap:
             lambda c: channel_fidelity(c.thermal(), c.analyzer_pulse_spec(), c.modes()),
         ):
             assert abs(run(doubled) - run(cfg)) <= 2 * cfg.tail_tol
+
+    def test_sector_guard_stops_a_hot_report_before_allocating(self):
+        # nbar 1e4 asks for about 1.2e10 sectors, 97 GB per float array
+        cfg = TeleportConfig(nbar=1e4)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"give 12,\d{3},\d{3},\d{3} sectors, more than the limit"):
+            teleport_fidelity("average", cfg)
+        assert time.perf_counter() - start < 0.5
