@@ -207,7 +207,7 @@ def _warn_once(rows, tail_tol: float) -> list[dict]:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if tails:
         warnings.warn(f"thermal truncation leaves tail mass > {tail_tol:.0e} at {len(tails)} of "
-                      f"{len(rows)} grid points (largest {max(tails):.3e})")
+                      f"{len(rows)} points (largest {max(tails):.3e})")
     return rows
 
 

@@ -294,11 +294,11 @@ def _sector_moments(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -
     """The thermal sums (C_cc, C_ss, C_cs) = sum_s w_s (cos^2 a_s, sin^2 a_s,
     cos a_s sin a_s) over the signed mixing angles a_s = drive_sign(k) Omega_s t
     of the sectors (those of ``oracle.sector_unitary``), t calibrated on the
-    ground sector, each as w_n^T f(a) w_r over the two mode weight vectors."""
+    ground sector, all three as w_n^T f(a) w_r in one contraction."""
     omega = rabi_grid(pulse.k, thermal.cutoff, thermal.cutoff_r, modes)
     a = drive_sign(pulse.k) * pulse.duration(omega[0, 0]) * omega
     c, s = np.cos(a), np.sin(a)
-    return np.array([thermal.weights_n @ f @ thermal.weights_r for f in (c * c, s * s, c * s)])
+    return thermal.weights_n @ np.array((c * c, s * s, c * s)) @ thermal.weights_r
 
 
 def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) -> float:

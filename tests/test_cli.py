@@ -105,7 +105,7 @@ class TestChannelFidelity:
         assert code == 0
         truncation = [str(w.message) for w in caught if "thermal truncation" in str(w.message)]
         assert len(truncation) == 1
-        assert "at 3 of 3 grid points (largest 1.576e-01)" in truncation[0]
+        assert "at 3 of 3 points (largest 1.576e-01)" in truncation[0]
 
 
 class TestTeleport:
@@ -157,7 +157,7 @@ class TestFidelitySurface:
         assert code == 0
         truncation = [str(w.message) for w in caught if "thermal truncation" in str(w.message)]
         assert len(truncation) == 1
-        assert "at 15 of 15 grid points (largest 3.005e-01)" in truncation[0]
+        assert "at 15 of 15 points (largest 3.005e-01)" in truncation[0]
 
 
 class TestSwap:
@@ -317,6 +317,16 @@ class TestValidation:
         assert err.startswith("error: ")
 
 
+#: TeleportConfig fields and values that must be rejected with an error naming the field.
+CONFIG_ERRORS = (
+    [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
+    + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)]
+    + [("k", v) for v in (0, -1, 1.5, True)]
+    + [(f, v) for f in ("cutoff", "cutoff_r", "cutoff_b") for v in (2.5, True, -1)]
+    + [("tail_tol", math.nan), ("nu_ratio", math.nan)]
+)
+
+
 class TestInvalidInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -331,19 +341,18 @@ class TestInvalidInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
-        + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)]
-        + [("k", v) for v in (0, -1, 1.5, True)]
-        + [(f, v) for f in ("cutoff", "cutoff_r", "cutoff_b") for v in (2.5, True, -1)]
-        + [("tail_tol", math.nan), ("nu_ratio", math.nan)],
-    )
+    @pytest.mark.parametrize("field, value", CONFIG_ERRORS)
     def test_config_error_names_field(self, field, value):
         # trap-B and stretch-mode fields reach the library only, not the CLI;
         # k must be a whole sideband order of at least 1 and a cutoff a whole
-        # number of at least 0. All three cutoffs are given, so no check
-        # relies on the automatic cutoff choice.
+        # number of at least 0. The cutoffs are chosen automatically, so the
+        # field must be rejected before the cutoff choice reads it.
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            TeleportConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", CONFIG_ERRORS)
+    def test_config_error_names_field_given_cutoffs(self, field, value):
+        # with all three cutoffs given no check may rely on the cutoff choice
         with pytest.raises(ValueError, match=rf"^{field} must"):
             TeleportConfig(**{"cutoff": 3, "cutoff_r": 3, "cutoff_b": 3, field: value})
 
