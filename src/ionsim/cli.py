@@ -13,19 +13,20 @@ derived parameters and rejects invalid ones; rows follow grid order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg, protocol
+from . import protocol
 from .motional import ModeParams, rabi_grid
-from .protocol import InputQubit, OutcomeState, PhaseConfig, TeleportConfig
+from .protocol import InputQubit, PhaseConfig, TeleportConfig
 from .register import OUTCOMES, split_pair
 from .pulsescript import (
     MeasureStatement,
@@ -123,22 +124,20 @@ def resolve_options(args: argparse.Namespace, overrides: dict | None = None) -> 
     return out
 
 
-def write_table(rows: list[dict], columns: list[str], meta: dict, fmt: str, out: str | None) -> None:
+def write_table(rows: Iterable[dict], columns: list[str], meta: dict, fmt: str, out: str | None) -> None:
+    """Write ``rows``, any iterable of dicts, as one JSON object or as CSV
+    under a ``# key=value`` metadata block, one row at a time."""
     meta = _plain(meta)
-    if fmt == "csv":
-        buf = io.StringIO()
-        for key in sorted(meta):
-            buf.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_plain(row[c]) for c in columns])
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = _json({"meta": meta, "rows": rows})
+    if fmt == "json":
+        _emit(_json({"meta": meta, "rows": list(rows)}), out)
+    elif fmt == "csv":
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+            stream.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_plain(row[c]) for c in columns] for row in rows)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-    _emit(text, out)
 
 
 def _report(opts: dict, lines: list[str], write) -> None:
@@ -220,8 +219,8 @@ def cmd_rabi_surface(args: argparse.Namespace) -> int:
     modes = ModeParams(eta=opts["eta"], eta_r=opts["eta_r"])
     k = TeleportConfig.k if opts["k"] is None else opts["k"]
     grid = _parse_grid(opts["grid"] or "", {"n": "0:25", "nr": "0:25"})
-    rabi = rabi_grid(k, grid["n"][-1], grid["nr"][-1], modes).tolist()
-    rows = [{"n": n, "n_r": nr, "rabi": rabi[n][nr]} for n in grid["n"] for nr in grid["nr"]]
+    rabi = rabi_grid(k, grid["n"][-1], grid["nr"][-1], modes)
+    rows = ({"n": n, "n_r": nr, "rabi": rabi[n, nr].item()} for n in grid["n"] for nr in grid["nr"])
     meta = {"command": "rabi-surface", "eta": modes.eta, "eta_r": modes.eta_r, "k": k,
             "n_range": f"{grid['n'][0]}..{grid['n'][-1]}", "nr_range": f"{grid['nr'][0]}..{grid['nr'][-1]}"}
     write_table(rows, ["n", "n_r", "rabi"], meta, opts["format"], opts["out"])
@@ -259,7 +258,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
           for o in OUTCOMES),
         f"  aggregate fidelity: {report.aggregate:.8f}",
     ]
-    _report(opts, lines, lambda out: _emit(_json(report.to_dict()), out))
+    _report(opts, lines, lambda out: _emit(_json(dataclasses.asdict(report)), out))
     return 0
 
 
@@ -324,21 +323,19 @@ def cmd_run_script(args: argparse.Namespace) -> int:
     )
     if teleport_shaped:
         # the measurement labels each branch; ion 3 is what remains of it
-        outcomes = []
-        for b in result.branches:
-            label = b.outcomes[-1][1]
-            state = None
-            if b.amplitudes is not None:
-                state = linalg.projector(split_pair(b.amplitudes, (0, 1), 3)[OUTCOMES.index(label)])
-            outcomes.append(OutcomeState(label, b.probability, state))
-        probs, fids, aggregate = protocol.score_outcomes(outcomes, linalg.projector(q.vector), cfg)
+        posteriors = np.zeros((4, 2, 2), dtype=complex)
+        for b in (b for b in result.branches if b.amplitudes is not None):
+            o = OUTCOMES.index(b.outcomes[-1][1])
+            ion3 = split_pair(b.amplitudes, (0, 1), 3)[o]
+            posteriors[o] = b.probability * np.outer(ion3, ion3.conj())
+        probs, fids, aggregate = protocol.score_outcomes(posteriors, q.vector, cfg)
         payload["teleport"] = {
             "outcome_probs": probs,
             "outcome_fidelities": fids,
             "aggregate": aggregate,
         }
         lines = ["pulse script report (teleport-shaped)"]
-        lines += [f"  outcome {o}: p={probs.get(o, 0.0):.8f} corrected fidelity {fids.get(o, 0.0):.8f}"
+        lines += [f"  outcome {o}: p={probs[o]:.8f} corrected fidelity {fids[o]:.8f}"
                   for o in OUTCOMES]
         lines.append(f"  aggregate fidelity: {aggregate:.8f}")
     else:

@@ -12,15 +12,20 @@ the S weights, so a pulse is one ``register.apply`` (``analyzer_pulse``) and
 a measurement one weighted einsum (``_posteriors``). Production reaches the
 same posteriors through three thermal moments, each w_n^T f w_r over the two
 mode weight vectors, and three fixed contractions (``protocol._bell_terms``).
-``execute_script_per_branch`` runs a pulse script one branch register at a
-time, where production batches the live branches. No other module of the
-package imports this one.
+The per-branch scoring route (``score_outcome_states``) normalises every
+measured branch (``OutcomeState``), corrects it with a Pauli kron on the
+last qubit (``_rotate_ion3``) and scores it by a checked
+``linalg.fidelity``, where production takes three overlaps per branch
+(``protocol.score_outcomes``). ``execute_script_per_branch`` runs a pulse
+script one branch register at a time, where production batches the live
+branches. No other module of the package imports this one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .dynamics import (
     mixing_operator,
 )
 from .motional import ModeParams, ThermalSpec, cutoff_for, laguerre_table, rabi_grid
-from .protocol import PhaseConfig
+from .protocol import PhaseConfig, TeleportConfig, _trap_b_sums, correction_axes
 from .pulsescript import Branch, MeasureStatement, PulseScript, PulseStatement, ScriptError, ScriptResult
 from .register import EMPTY_PROB, OUTCOMES, apply, collapse_pair, split_pair
 
@@ -207,12 +212,38 @@ def channel_fidelity_pipeline(
     return float(thermal.weights.ravel() @ np.abs(overlaps) ** 2)
 
 
+@dataclass
+class OutcomeState:
+    """One measurement branch: outcome label, its probability, and the
+    density operator of the unmeasured ions (None when the branch is empty)."""
+
+    label: str
+    probability: float
+    state: np.ndarray | None
+
+    @property
+    def empty(self) -> bool:
+        return self.state is None
+
+
+def _outcome_states(posteriors: np.ndarray) -> list[OutcomeState]:
+    """The four branches of unnormalised posteriors given in ``OUTCOMES``
+    order; a posterior of trace at most ``EMPTY_PROB`` is an empty branch."""
+    out = []
+    for o, r, p in zip(OUTCOMES, posteriors, np.einsum("oii->o", posteriors).real.tolist()):
+        if p <= EMPTY_PROB:
+            out.append(OutcomeState(label=o, probability=0.0, state=None))
+        else:
+            out.append(OutcomeState(label=o, probability=p, state=r / p))
+    return out
+
+
 def measure_and_condition(
     register: np.ndarray,
     weights: np.ndarray,
     pair: tuple[int, int] = (0, 1),
     n_qubits: int = 3,
-) -> list[protocol.OutcomeState]:
+) -> list[OutcomeState]:
     """Measure ions ``pair`` in the energy basis over the (S, 2**n_qubits)
     sector registers mixed with the S ``weights``.
 
@@ -220,7 +251,7 @@ def measure_and_condition(
     the posterior density operator of the unmeasured ions; an outcome of zero
     probability is flagged empty rather than raising.
     """
-    return protocol._outcome_states(_posteriors(register, weights, pair, n_qubits))
+    return _outcome_states(_posteriors(register, weights, pair, n_qubits))
 
 
 def debye_waller_rotation(
@@ -247,6 +278,44 @@ def trap_b_correction(axis: str, state: np.ndarray, nbar_b: float, eta_b: float,
         r = np.kron(np.eye(rho.shape[0] // 2), debye_waller_rotation(axis, math.pi, n, eta_b, epsilon))
         out += w * (r @ rho @ r.conj().T)
     return out
+
+
+def _rotate_ion3(axis: str | None, state: np.ndarray, a: float, b: float, cs: float) -> np.ndarray:
+    """The thermally mixed correction about ``axis`` of the last qubit of the
+    posterior ``state``, from the trap-B sums A, B, C of
+    ``protocol._trap_b_sums``; ``axis`` None needs no pulse and therefore
+    introduces no error."""
+    if axis is not None and axis not in PAULI:
+        raise ValueError(f"unknown correction axis {axis!r}")
+    rho = np.array(state, dtype=complex)
+    if axis is None:
+        return rho
+    sigma = np.kron(np.eye(rho.shape[0] // 2), PAULI[axis])
+    rho_sigma, sigma_rho = rho @ sigma, sigma @ rho
+    return a * rho + b * (sigma @ rho_sigma) + 1j * cs * (rho_sigma - sigma_rho)
+
+
+def score_outcome_states(
+    outcomes: list[OutcomeState], ideal: np.ndarray, cfg: TeleportConfig
+) -> tuple[dict[str, float], dict[str, float], float]:
+    """``protocol.score_outcomes`` branch by branch: correct the last qubit of
+    every normalised branch state with trap B of ``cfg`` (``_rotate_ion3``)
+    and score it against the density operator ``ideal`` by a checked
+    ``linalg.fidelity``. Returns per-outcome probabilities, fidelities (0 for
+    an empty branch) and their aggregate sum_o p_o F_o."""
+    axes = correction_axes(cfg.k, cfg.phases)
+    sums = _trap_b_sums(cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b)
+    probs: dict[str, float] = {}
+    fids: dict[str, float] = {}
+    aggregate = 0.0
+    for oc in outcomes:
+        probs[oc.label] = oc.probability
+        if oc.empty:
+            fids[oc.label] = 0.0
+            continue
+        fids[oc.label] = linalg.fidelity(ideal, _rotate_ion3(axes[oc.label], oc.state, *sums))
+        aggregate += oc.probability * fids[oc.label]
+    return probs, fids, aggregate
 
 
 def pair_run(initial: np.ndarray, pulse: PulseSpec, thermal: ThermalSpec, modes: ModeParams) -> np.ndarray:

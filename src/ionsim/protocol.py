@@ -17,6 +17,13 @@ only through the three thermal sums of cos^2 a, sin^2 a and cos a sin a
 swaps run the same pair run on Phi+ x Phi+, the Lamb-Dicke swap as one
 sector of weight 1.
 
+Trap B enters only through the three sums A, B, C of its thermally mixed pi
+rotation (``_trap_b_sums``), so every corrected branch of posterior rho_o
+scores by three overlaps with the ideal state psi,
+p_o F_o = A <psi|rho_o|psi> + B <s|rho_o|s> - 2 C Im <psi|rho_o|s> with
+s = sigma_o psi (``score_outcomes``); the per-branch route that normalises,
+rotates and scores each branch is ``oracle.score_outcome_states``.
+
 Bell-state convention: Phi+- = (|dd> +- |uu>)/sqrt(2), Psi+- = (|du> +- |ud>)/sqrt(2),
 with d ordered before u. The correction and the swap herald of every
 outcome are read off the same run at ideal pulses.
@@ -25,7 +32,7 @@ outcome are read off the same run at ideal pulses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -172,9 +179,10 @@ class TeleportConfig:
             object.__setattr__(self, "nbar_b", self.nbar)
         if self.eta_b is None:
             object.__setattr__(self, "eta_b", self.eta)
-        for name in ("eta", "eta_b"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        for name in ("eta", "eta_r", "eta_b"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         for name in ("nbar_r", "nbar_b"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -209,41 +217,11 @@ class TeleportConfig:
         )
 
     def describe(self) -> dict:
-        m = self.modes()
-        return {
-            "eta": self.eta,
-            "eta_r": m.eta_r,
-            "nu_ratio": self.nu_ratio,
-            "nbar": self.nbar,
-            "nbar_r": self.nbar_r,
-            "nbar_b": self.nbar_b,
-            "eta_b": self.eta_b,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "area": math.pi / 4,
-            "phi_a": self.phases.phi_a,
-            "phi_b": self.phases.phi_b,
-            "phi0_a": self.phases.phi0_a,
-            "phi0_b": self.phases.phi0_b,
-            "cutoff": self.cutoff,
-            "cutoff_r": self.cutoff_r,
-            "cutoff_b": self.cutoff_b,
-            "tail_tol": self.tail_tol,
-        }
-
-
-@dataclass
-class OutcomeState:
-    """One measurement branch: outcome label, its probability, and the
-    density operator of the unmeasured ions (None when the branch is empty)."""
-
-    label: str
-    probability: float
-    state: np.ndarray | None
-
-    @property
-    def empty(self) -> bool:
-        return self.state is None
+        """Every field with the phases flattened, eta_r resolved, and the
+        analyzer pulse area."""
+        params = {f.name: getattr(self, f.name) for f in fields(self)}
+        params.update(asdict(params.pop("phases")), eta_r=self.modes().eta_r, area=math.pi / 4)
+        return params
 
 
 @dataclass
@@ -267,15 +245,6 @@ class FidelityReport:
     aggregate: float
     params: dict
     input_state: str
-
-    def to_dict(self) -> dict:
-        return {
-            "input_state": self.input_state,
-            "outcome_probs": dict(self.outcome_probs),
-            "outcome_fidelities": dict(self.outcome_fidelities),
-            "aggregate": self.aggregate,
-            "params": dict(self.params),
-        }
 
 
 @lru_cache(maxsize=32)
@@ -308,18 +277,6 @@ def channel_fidelity(thermal: ThermalSpec, pulse: PulseSpec, modes: ModeParams) 
     ``_sector_moments`` and s = -drive_sign(k) the sign of the ideal angle
     (see ``ld_pulse_unitary``)."""
     return float(0.5 - drive_sign(pulse.k) * _sector_moments(thermal, pulse, modes)[2])
-
-
-def _outcome_states(posteriors: np.ndarray) -> list[OutcomeState]:
-    """The four branches of unnormalised posteriors given in ``OUTCOMES``
-    order; a posterior of trace at most ``EMPTY_PROB`` is an empty branch."""
-    out = []
-    for o, r, p in zip(OUTCOMES, posteriors, np.einsum("oii->o", posteriors).real.tolist()):
-        if p <= EMPTY_PROB:
-            out.append(OutcomeState(label=o, probability=0.0, state=None))
-        else:
-            out.append(OutcomeState(label=o, probability=p, state=r / p))
-    return out
 
 
 def _ideal_run(k: int, phases: PhaseConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +331,7 @@ def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int) -> 
     c_n = cos(theta_n/2) and s_n = sin(theta_n/2), the thermal mixture
     sum_n w_n R_n rho R_n^+ equals A rho + B sigma rho sigma + i C (rho sigma - sigma rho)
     with A = sum_n w_n c_n^2, B = sum_n w_n s_n^2 and C = sum_n w_n c_n s_n,
-    so no per-level matrix product is formed (``_rotate_ion3``).
+    so no per-level matrix product is formed (``score_outcomes``).
     """
     weights = thermal_weights(nbar_b, cutoff_b)
     weights = weights / weights.sum()
@@ -383,39 +340,36 @@ def _trap_b_sums(nbar_b: float, eta_b: float, epsilon: float, cutoff_b: int) -> 
     return weights @ (c * c), weights @ (s * s), weights @ (c * s)
 
 
-def _rotate_ion3(axis: str | None, state: np.ndarray, a: float, b: float, cs: float) -> np.ndarray:
-    """The thermally mixed correction about ``axis`` of the last qubit of the
-    posterior ``state``, from the trap-B sums A, B, C of ``_trap_b_sums``;
-    ``axis`` None needs no pulse and therefore introduces no error."""
-    if axis is not None and axis not in PAULI:
-        raise ValueError(f"unknown correction axis {axis!r}")
-    rho = np.array(state, dtype=complex)
-    if axis is None:
-        return rho
-    sigma = np.kron(np.eye(rho.shape[0] // 2), PAULI[axis])
-    rho_sigma, sigma_rho = rho @ sigma, sigma @ rho
-    return a * rho + b * (sigma @ rho_sigma) + 1j * cs * (rho_sigma - sigma_rho)
-
-
 def score_outcomes(
-    outcomes: list[OutcomeState], ideal: np.ndarray, cfg: TeleportConfig
+    posteriors: np.ndarray, psi: np.ndarray, cfg: TeleportConfig
 ) -> tuple[dict[str, float], dict[str, float], float]:
     """Correct the last qubit of every measurement branch with trap B of
-    ``cfg``, about the axis ``correction_axes`` derives for the outcome, and
-    score it against ``ideal``. Returns per-outcome probabilities, fidelities
-    (0 for an empty branch) and their aggregate sum_o p_o F_o."""
+    ``cfg`` and score it against the pure ideal state ``psi``. Returns
+    per-outcome probabilities, fidelities and their aggregate sum_o p_o F_o.
+
+    ``posteriors`` holds the four unnormalised posteriors rho_o (trace p_o)
+    in ``OUTCOMES`` order; a branch of p_o <= ``EMPTY_PROB`` is empty and
+    scores p 0 and F 0. With sigma_o the Pauli of ``correction_axes`` on the
+    last qubit and A, B, C the ``_trap_b_sums``, the corrected branch scores
+    p_o F_o = A <psi|rho_o|psi> + B <s|rho_o|s> - 2 C Im <psi|rho_o|s> for
+    s = sigma_o psi; an outcome that needs no pulse scores <psi|rho_o|psi>.
+    ``oracle.score_outcome_states`` is the per-branch reference."""
     axes = correction_axes(cfg.k, cfg.phases)
     sums = _trap_b_sums(cfg.nbar_b, cfg.eta_b, cfg.epsilon, cfg.cutoff_b)
+    psi = np.asarray(psi, dtype=complex)
     probs: dict[str, float] = {}
     fids: dict[str, float] = {}
     aggregate = 0.0
-    for oc in outcomes:
-        probs[oc.label] = oc.probability
-        if oc.empty:
-            fids[oc.label] = 0.0
+    for o, rho, p in zip(OUTCOMES, posteriors, np.einsum("oii->o", posteriors).real.tolist()):
+        if p <= EMPTY_PROB:
+            probs[o] = fids[o] = 0.0
             continue
-        fids[oc.label] = linalg.fidelity(ideal, _rotate_ion3(axes[oc.label], oc.state, *sums))
-        aggregate += oc.probability * fids[oc.label]
+        a, b, c = (1.0, 0.0, 0.0) if axes[o] is None else sums
+        vecs = np.stack([psi, (psi.reshape(-1, 2) @ PAULI.get(axes[o], np.eye(2)).T).ravel()])
+        (direct, cross), (_, flipped) = vecs.conj() @ rho @ vecs.T
+        probs[o] = p
+        fids[o] = linalg.clamp_fidelity(float(a * direct.real + b * flipped.real - 2 * c * cross.imag) / p)
+        aggregate += p * fids[o]
     return probs, fids, aggregate
 
 
@@ -468,7 +422,7 @@ def _teleport(
     """
     x = np.kron(state.reshape(-1, 2), np.eye(2))
     posteriors = 2 * x @ _bell_channel(cfg) @ x.conj().T
-    return score_outcomes(_outcome_states(posteriors), linalg.projector(state), cfg)
+    return score_outcomes(posteriors, state, cfg)
 
 
 def teleport_fidelity(
@@ -545,14 +499,14 @@ def entanglement_swap(
     else:
         moments = _sector_moments(thermal, pulse, modes)
     terms = _bell_terms(pulse.k, pulse.phi, pulse.phi0, None)
-    outcomes = _outcome_states(np.tensordot(moments, terms, 1))
+    posteriors = np.tensordot(moments, terms, 1)
     heralds = swap_heralds(pulse.k, replace(phases, phi_a=pulse.phi, phi0_a=pulse.phi0))
     results = []
-    for oc in outcomes:
-        herald, target = heralds[oc.label]
-        if oc.empty:
-            results.append(SwapOutcome(oc.label, 0.0, np.zeros((4, 4), complex), herald, 0.0))
+    for o, j, p in zip(OUTCOMES, posteriors, np.einsum("oii->o", posteriors).real.tolist()):
+        herald, target = heralds[o]
+        if p <= EMPTY_PROB:
+            results.append(SwapOutcome(o, 0.0, np.zeros((4, 4), complex), herald, 0.0))
             continue
-        f = linalg.clamp_fidelity(float(np.vdot(target, oc.state @ target).real))
-        results.append(SwapOutcome(oc.label, oc.probability, oc.state, herald, f))
+        f = linalg.clamp_fidelity(float(np.vdot(target, j @ target).real) / p)
+        results.append(SwapOutcome(o, p, j / p, herald, f))
     return results

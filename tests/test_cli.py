@@ -4,14 +4,18 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionsim import cli
+from ionsim import cli, linalg, oracle
 from ionsim.motional import ModeParams
-from ionsim.protocol import PhaseConfig, TeleportConfig
+from ionsim.protocol import InputQubit, PhaseConfig, TeleportConfig
 from ionsim.pulsescript import execute_script, parse_pulse_script
+from ionsim.register import OUTCOMES, split_pair
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 TELEPORT_SCRIPT = "pulse ions=2,3\npulse ions=1,2\nmeasure ions=1,2\n"
 
@@ -226,6 +230,29 @@ class TestRunScript:
         for label, p in direct["outcome_probs"].items():
             assert scripted["outcome_probs"][label] == pytest.approx(p, abs=1e-12)
 
+    def test_corrected_report_matches_per_branch_oracle(self, capsys):
+        # eps != 0 gives the trap-B correction nonzero B and C sums; the
+        # input is no cardinal state
+        script = SCRIPTS / "teleport.ps"
+        argv = ["run-script", str(script), "--input-state", "0.3,0.4-0.5j", "--eps", "0.05", "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = json.loads(out)["teleport"]
+        q, cfg = InputQubit.from_spec("0.3,0.4-0.5j"), TeleportConfig(epsilon=0.05)
+        result = oracle.execute_script_per_branch(
+            parse_pulse_script(script.read_text()), 3, np.kron(q.vector, np.eye(4)[0]), cfg.phases)
+        outcomes = []
+        for b in result.branches:
+            label = b.outcomes[-1][1]
+            ion3 = None if b.amplitudes is None else split_pair(b.amplitudes, (0, 1), 3)[OUTCOMES.index(label)]
+            outcomes.append(oracle.OutcomeState(label, b.probability, None if ion3 is None else linalg.projector(ion3)))
+        probs, fids, aggregate = oracle.score_outcome_states(outcomes, linalg.projector(q.vector), cfg)
+        assert 0.9 < aggregate < 1 - 1e-3
+        for o in OUTCOMES:
+            assert abs(report["outcome_probs"][o] - probs[o]) <= 1e-12
+            assert abs(report["outcome_fidelities"][o] - fids[o]) <= 1e-12
+        assert abs(report["aggregate"] - aggregate) <= 1e-12
+
     def test_json_amplitudes_parse_back_to_branch_registers(self, capsys, tmp_path):
         script = tmp_path / "teleport.ps"
         script.write_text(TELEPORT_SCRIPT)
@@ -321,6 +348,7 @@ class TestValidation:
 CONFIG_ERRORS = (
     [(f, v) for f in ("nbar_r", "nbar_b") for v in (math.nan, math.inf, -1.0)]
     + [("eta_b", v) for v in (math.nan, math.inf, 1.5, 1.0, 0.0, -0.1)]
+    + [("eta_r", v) for v in (math.nan, -0.1, 5.0)]
     + [("k", v) for v in (0, -1, 1.5, True)]
     + [(f, v) for f in ("cutoff", "cutoff_r", "cutoff_b") for v in (2.5, True, -1)]
     + [("tail_tol", math.nan), ("nu_ratio", math.nan)]

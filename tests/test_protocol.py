@@ -13,14 +13,18 @@ from ionsim import linalg
 from ionsim.dynamics import PulseSpec, carrier_rotation, drive_sign, ld_pulse_unitary
 from ionsim.motional import ModeParams, rabi_grid, thermal_distribution, cutoff_for, matched_nbar_r
 from ionsim.oracle import (
+    _outcome_states,
     _pair_generator,
     _pair_run,
+    _posteriors,
+    _rotate_ion3,
     _sector_rabi,
     analyzer_pulse,
     channel_fidelity_pipeline,
     measure_and_condition,
     pair_run,
     prepare_channel,
+    score_outcome_states,
     trap_b_correction,
 )
 from ionsim.protocol import (
@@ -32,7 +36,6 @@ from ionsim.protocol import (
     TeleportConfig,
     _bell_channel,
     _bell_terms,
-    _rotate_ion3,
     _sector_moments,
     _trap_b_sums,
     channel_fidelity,
@@ -44,6 +47,7 @@ from ionsim.protocol import (
     swap_heralds,
     teleport_fidelity,
 )
+from ionsim.register import EMPTY_PROB
 
 MODES = ModeParams(eta=0.2)
 PHASES = PhaseConfig()
@@ -488,11 +492,67 @@ class TestCorrectionClosedForm:
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+class TestScoreOutcomes:
+    """The three-overlap scoring equals the per-branch route of the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        phi0=st.floats(-math.pi, math.pi),
+        nbar=st.floats(0.0, 5.0),
+        eta=st.floats(0.05, 0.3),
+        epsilon=st.floats(-0.1, 0.1),
+        nbar_b=st.floats(0.0, 3.0),
+        eta_b=st.floats(0.05, 0.3),
+        ions=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_per_branch_scorer(self, k, phi0, nbar, eta, epsilon, nbar_b, eta_b, ions, seed):
+        # only a shared phi0 with the resolved Raman phases keeps every
+        # outcome Pauli-correctable at every k
+        cfg = TeleportConfig(eta=eta, nbar=nbar, epsilon=epsilon, nbar_b=nbar_b, eta_b=eta_b, k=k,
+                             phases=PhaseConfig(phi0))
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=2**ions) + 1j * rng.normal(size=2**ions)
+        psi /= np.linalg.norm(psi)
+        thermal, pair, n_qubits = cfg.thermal(), (ions - 1, ions), ions + 2
+        initial = np.kron(psi, channel_target_state(k, cfg.phases.phi_b))
+        register = analyzer_pulse(initial, thermal, cfg.analyzer_pulse_spec(), cfg.modes(), pair, n_qubits)
+        posteriors = _posteriors(register, thermal.weights.ravel(), pair, n_qubits)
+        probs, fids, aggregate = score_outcomes(posteriors, psi, cfg)
+        expected = score_outcome_states(_outcome_states(posteriors), linalg.projector(psi), cfg)
+        for o in OUTCOMES:
+            assert abs(probs[o] - expected[0][o]) <= 1e-12
+            assert abs(fids[o] - expected[1][o]) <= 1e-12
+        assert abs(aggregate - expected[2]) <= 1e-12
+
+    def test_empty_branch_scores_zero_and_leaves_the_aggregate(self):
+        cfg = TeleportConfig(nbar_b=0.5, epsilon=0.05)
+        psi = random_qubit(7).vector
+        half = 0.5 * linalg.projector(psi)
+        posteriors = np.stack([half, EMPTY_PROB * np.eye(2) / 2, half, np.zeros((2, 2))])
+        probs, fids, aggregate = score_outcomes(posteriors, psi, cfg)
+        assert probs["du"] == fids["du"] == probs["uu"] == fids["uu"] == 0.0
+        assert min(fids["dd"], fids["ud"]) > 0
+        assert aggregate == probs["dd"] * fids["dd"] + probs["ud"] * fids["ud"]
+
+    def test_report_values_are_python_floats(self):
+        cfg = TeleportConfig(nbar=0.3, eta=0.15, epsilon=0.05)
+        reports = [teleport_fidelity("average", cfg), teleport_fidelity("0.6,0.8", cfg),
+                   entanglement_teleport(BELL_STATES["psi-"], cfg)]
+        for report in reports:
+            values = [*report.outcome_probs.values(), *report.outcome_fidelities.values(), report.aggregate]
+            assert all(type(v) is float for v in values)
+            assert all(type(v) in (float, int) for v in report.params.values())
+        swaps = entanglement_swap(cfg.analyzer_pulse_spec(), cfg.phases, cfg.thermal(), cfg.modes())
+        assert all(type(v) is float for oc in swaps for v in (oc.probability, oc.fidelity))
+
+
 def register_report(initial, ideal, cfg, pair, n_qubits):
     """Analyzer pulse, measurement and scoring of one thermal register run."""
     thermal = cfg.thermal()
     register = analyzer_pulse(initial, thermal, cfg.analyzer_pulse_spec(), cfg.modes(), pair, n_qubits)
-    return score_outcomes(measure_and_condition(register, thermal.weights.ravel(), pair, n_qubits), ideal, cfg)
+    return score_outcome_states(measure_and_condition(register, thermal.weights.ravel(), pair, n_qubits), ideal, cfg)
 
 
 def single_input_oracle(v, cfg):
